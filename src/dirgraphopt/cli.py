@@ -139,8 +139,18 @@ def _cmd_study(args) -> int:
         return 1 if report.any_diverged else 0
     if args.study == "sweep":
         report = experiments.cmd_stepsize_study(cfg)
+        rows = report.stepsize_table
         print(f"alpha_bar = {report.alpha_bar!r}")
-        print(f"rows = {len(report.stepsize_table)}")
+        best_rho = min(rows, key=lambda r: r.rho)
+        print(f"argmin rho: alpha={best_rho.alpha!r} rho={best_rho.rho!r}")
+        converged = [r for r in rows if r.converged]
+        if converged:
+            best_run = min(converged, key=lambda r: r.residual_200)
+            print(f"argmin residual: alpha={best_run.alpha!r} "
+                  f"residual={best_run.residual_200!r}")
+        else:
+            print("argmin residual: no grid point converged")
+        print(f"rows = {len(rows)}")
         return 0
     report = experiments.cmd_sparsity_study(cfg)
     for row in report.sparsity_rows:

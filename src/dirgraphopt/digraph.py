@@ -19,7 +19,6 @@ __all__ = [
     "Digraph",
     "WeightMatrix",
     "SpectralData",
-    "PowerIterationError",
     "is_strongly_connected",
     "uniform_weights",
     "perron_limit",
@@ -38,10 +37,6 @@ __all__ = [
 
 #: push-sum iterates and mixing powers are compared at this tolerance
 COLUMN_SUM_TOL = 1e-12
-
-
-class PowerIterationError(RuntimeError):
-    """Dominant-eigenvector iteration failed to settle within its budget."""
 
 
 class Digraph:
@@ -177,37 +172,25 @@ def uniform_weights(g: Digraph) -> WeightMatrix:
     return WeightMatrix(a)
 
 
-def perron_limit(
-    w: WeightMatrix, tol: float = 1e-13, max_iters: int = 100_000
-) -> tuple[np.ndarray, np.ndarray]:
+def perron_limit(w: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Stationary column vector ``pi`` and the rank-one limit of mixing powers.
 
-    Power iteration on the mixing matrix; falls back to a dense eigensolver
-    for modest sizes if the iteration does not settle.  Returns ``(pi,
-    a_inf)`` with ``a_inf = pi @ ones.T``, ``sum(pi) == 1`` and ``pi > 0``.
+    One direct solve of ``(A - I) pi = 0`` in the gauge ``pi[-1] = 1``: the
+    columns of ``A - I`` sum to zero, so its last row is redundant and the
+    leading ``(n-1) x (n-1)`` block is nonsingular for a strongly connected
+    graph.  Pinning one entry, rather than replacing a row with the
+    normalisation, keeps ``pi`` exact on doubly stochastic weights.  Returns
+    ``(pi, a_inf)`` with ``a_inf = pi @ ones.T``, ``sum(pi) == 1`` and
+    ``pi > 0``; raises ``ValueError`` if the solution is not positive.
     """
     a = w.entries
     n = w.n
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iters):
-        nxt = a @ pi
-        if np.max(np.abs(nxt - pi)) <= tol:
-            pi = nxt
-            break
-        pi = nxt
-    else:
-        if n <= 200:
-            vals, vecs = np.linalg.eig(a)
-            idx = int(np.argmin(np.abs(vals - 1.0)))
-            vec = np.real(vecs[:, idx])
-            pi = vec / vec.sum()
-        else:
-            raise PowerIterationError(
-                f"stationary vector did not settle in {max_iters} iterations"
-            )
+    lap = a - np.eye(n)
+    pi = np.ones(n)
+    pi[:-1] = np.linalg.solve(lap[:-1, :-1], -lap[:-1, -1])
     pi = pi / pi.sum()
     if np.any(pi <= 0):
-        raise PowerIterationError("stationary vector is not strictly positive")
+        raise ValueError("stationary vector is not strictly positive")
     return pi, np.outer(pi, np.ones(n))
 
 
@@ -229,17 +212,20 @@ def contraction_norm(
 ) -> tuple[float, np.ndarray]:
     """Weighted norm in which the consensus-deviation map strictly contracts.
 
-    Builds an invertible ``S`` such that ``|A - A_inf|_S := |S^-1 (A -
-    A_inf) S|_2`` is at most ``rho(A - A_inf) + slack`` and strictly below 1.
-    Construction: Schur-triangularize ``A - A_inf`` and damp the
-    off-diagonal part with a geometric diagonal scaling, chosen as mild as
-    possible (the damping factor is found by bisection) so the norm
-    equivalence constants stay small.  ``slack=None`` targets the midpoint
-    of the spectral gap, which balances a small contraction factor against
-    a well-conditioned transform.
+    Builds an invertible ``S`` such that ``|M|_S := |S^-1 M S|_2``, with
+    ``M = A - A_inf``, is below ``r = rho(M) + slack`` and below 1.  When the
+    plain spectral norm already meets ``r`` the identity is kept.  Otherwise
+    ``P`` solves the discrete Lyapunov equation ``M^T P M = r^2 (P - I)``,
+    so ``v^T M^T P M v < r^2 v^T P v`` for every ``v != 0``, and
+    ``S = P^(-1/2)``.  A Schur basis damped by ``diag(t**k)`` would give the
+    same kind of certificate but forces ``d >= t^-(n-1)``, which blows up
+    with ``n``.  ``slack=None`` targets the midpoint of the spectral gap,
+    which balances a small contraction factor against a well-conditioned
+    transform.  The conditioning of ``P`` grows like ``1 / slack``; a slack
+    near roundoff that leaves ``P`` indefinite raises ``ValueError``.
 
-    Returns ``(sigma, S)`` where ``sigma = |A - A_inf|_S`` and ``S`` is
-    normalized to ``|S|_2 = 1``.
+    Returns ``(sigma, S)`` where ``sigma = |A - A_inf|_S`` is computed in the
+    returned basis and ``S`` is normalized to ``|S|_2 = 1``.
     """
     if slack is not None and slack <= 0:
         raise ValueError(f"slack must be positive, got {slack}")
@@ -256,34 +242,21 @@ def contraction_norm(
     # Keep the certified norm strictly inside the unit ball even when the
     # requested slack would overshoot it.
     gap = 0.5 * (1.0 - rho) if slack is None else min(slack, 0.5 * (1.0 - rho))
+    r = rho + gap
     plain = float(np.linalg.norm(m, 2))
-    if plain <= rho + gap:
+    if plain <= r:
         return plain, np.eye(n)
-    t_mat, q_mat = scipy.linalg.schur(m, output="complex")
-    powers = np.arange(1, n + 1, dtype=float)
-
-    def damped_norm(t: float) -> float:
-        diag = t**powers
-        return float(np.linalg.norm(t_mat * np.outer(1.0 / diag, diag), 2))
-
-    # The damped norm grows monotonically with t and tends to rho as t -> 0;
-    # bisect for the largest damping factor that meets the target.
-    lo, hi = 1e-8, 1.0
-    if damped_norm(lo) > rho + gap:
+    p_mat = scipy.linalg.solve_discrete_lyapunov((m / r).T, np.eye(n))
+    vals, vecs = np.linalg.eigh(p_mat)
+    if not vals[0] > 0:
         raise ValueError(
-            f"slack {slack} too small: diagonal scaling exceeds numeric range"
+            f"slack {slack} too small: Lyapunov solution is not positive definite"
         )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if damped_norm(mid) <= rho + gap:
-            lo = mid
-        else:
-            hi = mid
-    diag = lo**powers
-    s_mat = q_mat @ np.diag(diag)
-    # scale so |S|_2 = 1: the induced matrix norm is unchanged and the
-    # norm-equivalence constant c becomes exactly 1
-    return damped_norm(lo), s_mat / np.linalg.norm(s_mat, 2)
+    # S = P^(-1/2) scaled so |S|_2 = 1: the induced matrix norm is unchanged
+    # and the norm-equivalence constant c becomes exactly 1
+    s_mat = (vecs * np.sqrt(vals[0] / vals)) @ vecs.T
+    s_inv = (vecs * np.sqrt(vals / vals[0])) @ vecs.T
+    return float(np.linalg.norm(s_inv @ m @ s_mat, 2)), s_mat
 
 
 @dataclass(frozen=True)

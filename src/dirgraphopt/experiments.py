@@ -4,16 +4,12 @@ sparsity study.
 Configs are flat key-value text files with INI-style sections (parsed by
 :mod:`configparser`).  Outputs are plain CSV files; every driver is
 deterministic, so re-running a config reproduces its outputs byte for byte.
-The environment variable ``DIRGRAPH_OPT_THREADS`` caps worker threads for
-the embarrassingly parallel step-size sweep (default: serial).
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,14 +25,10 @@ __all__ = [
     "SparsityRow",
     "ComparisonReport",
     "load_config",
-    "thread_cap",
     "cmd_compare",
     "cmd_stepsize_study",
     "cmd_sparsity_study",
 ]
-
-THREADS_ENV = "DIRGRAPH_OPT_THREADS"
-
 
 class ConfigError(ValueError):
     """A config file is missing, malformed, or inconsistent."""
@@ -181,16 +173,6 @@ def load_config(path) -> ExperimentConfig:
     )
 
 
-def thread_cap() -> int:
-    """Worker-thread budget from ``DIRGRAPH_OPT_THREADS`` (default 1)."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, value)
-
-
 def resolve_graph(cfg: ExperimentConfig) -> digraph.Digraph:
     kind = cfg.graph[0]
     if kind == "builtin":
@@ -325,20 +307,6 @@ def cmd_compare(cfg: ExperimentConfig) -> ComparisonReport:
     return report
 
 
-def _sweep_point(weights, objs, alpha, iters, theta, z_star, pi, profile):
-    rho = analysis.spectral_radius(analysis.build_G(profile, alpha))
-    try:
-        trace = algorithms.run(
-            "addopt", weights, objs, alpha, iters, 0.0,
-            theta=theta, z_star=z_star, pi=pi,
-        )
-        residual = trace.final_residual
-    except algorithms.DivergenceError:
-        residual = float("inf")
-    converged = bool(np.isfinite(residual) and residual < 1.0)
-    return StepsizeRow(alpha=alpha, rho=rho, converged=converged, residual_200=residual)
-
-
 def cmd_stepsize_study(cfg: ExperimentConfig) -> ComparisonReport:
     """Sweep constant step sizes for the tracked engine.
 
@@ -358,17 +326,19 @@ def cmd_stepsize_study(cfg: ExperimentConfig) -> ComparisonReport:
     profile = analysis.build_profile(weights, l, s, cfg.slack)
     opt = objectives.centralized_solve(objs)
 
-    workers = thread_cap()
-    args = [
-        (weights, objs, float(a), cfg.iters, cfg.theta, opt.z_star,
-         profile.spectral.pi, profile)
-        for a in grid
-    ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: _sweep_point(*t), args))
-    else:
-        rows = [_sweep_point(*t) for t in args]
+    rows = []
+    for alpha in map(float, grid):
+        rho = analysis.spectral_radius(analysis.build_G(profile, alpha))
+        try:
+            residual = algorithms.run(
+                "addopt", weights, objs, alpha, cfg.iters, 0.0,
+                theta=cfg.theta, z_star=opt.z_star, pi=profile.spectral.pi,
+            ).final_residual
+        except algorithms.DivergenceError:
+            residual = float("inf")
+        converged = bool(np.isfinite(residual) and residual < 1.0)
+        rows.append(StepsizeRow(alpha=alpha, rho=rho, converged=converged,
+                                residual_200=residual))
 
     report = ComparisonReport(
         alpha_bar=analysis.alpha_upper_bound(profile), stepsize_table=rows

@@ -450,6 +450,25 @@ def test_key_relation_sensitivity_catches_tight_instances():
     assert report.worst_margin < 0
 
 
+def test_key_relation_holds_on_40_node_random_digraph():
+    w = digraph.uniform_weights(digraph.random_digraph(40, 160, seed=1))
+    data = objectives.generate_dataset(40, 10, 3, seed=1, reg=0.5)
+    objs = objectives.logistic_objective(data)
+    l, s = objectives.network_constants(objs)
+    profile = build_profile(w, l, s)
+    opt = objectives.centralized_solve(objs)
+    gamma1, big_t = fit_push_sum_envelope(w, profile.spectral.pi)
+    alpha = 0.5 * alpha_upper_bound(profile)
+    trace = run(
+        "addopt", w, objs, alpha, 200, 0.0, z_star=opt.z_star,
+        pi=profile.spectral.pi, retain_states=True,
+    )
+    report = verify_key_relation(
+        trace.states, profile, opt.z_star, alpha, gamma1, big_t
+    )
+    assert report.ok
+
+
 def test_key_relation_needs_two_states(fig1_profile, canonical_opt):
     with pytest.raises(ValueError, match="two recorded states"):
         verify_key_relation(

@@ -58,6 +58,15 @@ def test_graph_spectrum_prints_constants(capsys):
     assert pi.shape == (10,) and abs(pi.sum() - 1.0) < 1e-10 and np.all(pi > 0)
 
 
+def test_graph_spectrum_on_40_node_random_file(capsys, tmp_path):
+    path = tmp_path / "random40.txt"
+    digraph.save_graph(digraph.random_digraph(40, 160, 1), path)
+    code, out, err = run_cli(capsys, "graph", "spectrum", str(path))
+    assert code == 0, err
+    sigma = float(out.split("sigma = ")[1].splitlines()[0])
+    assert 0.0 < sigma < 1.0
+
+
 # ---------------------------------------------------------------------------
 # data subcommand
 # ---------------------------------------------------------------------------
@@ -308,6 +317,27 @@ dir = {tmp_path / "out"}
     assert code == 0
     assert "alpha_bar = " in out and "rows = 4" in out
     assert (tmp_path / "out" / "study_stepsize.csv").exists()
+
+
+def test_sweep_study_cli_reports_both_argmins(capsys, tmp_path):
+    cfg = write_config(tmp_path, "sweep.ini", f"""
+[objective]
+kind = logistic
+examples = 2
+dim = 2
+
+[run]
+alpha = 0.001:0.004:4
+iters = 80
+
+[output]
+dir = {tmp_path / "out"}
+""")
+    code, out, _ = run_cli(capsys, "sweep", "--config", cfg)
+    assert code == 0
+    lines = dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+    assert lines["argmin rho"].startswith("alpha=")
+    assert lines["argmin residual"].startswith("alpha=0.004 ")
 
 
 def test_sparsity_study_cli(capsys, tmp_path):

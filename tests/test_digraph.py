@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dirgraphopt import digraph
 from dirgraphopt.digraph import (
@@ -210,6 +210,12 @@ def test_perron_limit_matches_powered_matrix():
     np.testing.assert_allclose(a @ pi, pi, atol=1e-12)
 
 
+def test_perron_limit_rejects_reducible_weights():
+    # node 0 only sends, so no mass stays on it in the limit
+    with pytest.raises(ValueError, match="positive"):
+        perron_limit(WeightMatrix(np.array([[0.5, 0.0], [0.5, 1.0]])))
+
+
 @given(graph_params)
 def test_perron_limit_properties(params):
     w = uniform_weights(random_digraph(*params))
@@ -309,6 +315,16 @@ def test_contraction_norm_rejects_nonpositive_slack(fig1_weights):
         contraction_norm(fig1_weights, slack=0.0)
 
 
+def test_contraction_norm_rejects_indefinite_lyapunov_solution(fig1_weights, monkeypatch):
+    # a slack near roundoff can leave the Lyapunov solve without a positive
+    # definite solution; that must be a clear error, not a NaN basis
+    monkeypatch.setattr(
+        digraph.scipy.linalg, "solve_discrete_lyapunov", lambda a, q: -q
+    )
+    with pytest.raises(ValueError, match="slack .* too small"):
+        contraction_norm(fig1_weights, slack=1e-12)
+
+
 def test_contraction_norm_default_targets_gap_midpoint(fig1_weights):
     _, a_inf = perron_limit(fig1_weights)
     m = fig1_weights.entries - a_inf
@@ -331,6 +347,27 @@ def test_contraction_inequality_random_vectors(params, vec_seed):
     assert lhs <= rhs + 1e-12 * max(1.0, rhs)
     # consistency: the certified factor is the induced norm of the deviation map
     assert abs(spec.sigma - spec.matrix_norm(m)) < 1e-10
+
+
+@given(
+    st.integers(min_value=13, max_value=200),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=8)
+@example(200, 1)
+def test_spectral_data_certifies_large_random_digraphs(n, seed):
+    # graph_params stops at n=12; the certificate must hold at every size
+    # the engines accept
+    w = uniform_weights(random_digraph(n, 4 * n, seed))
+    spec = spectral_data(w)
+    assert spec.sigma < 1.0
+    assert abs(spec.c - 1.0) < 1e-12
+    m = w.entries - spec.a_inf
+    v = np.random.default_rng(seed).standard_normal((n, 50))
+    lhs = np.linalg.norm(spec.transform_inv @ (m @ v), axis=0)
+    dev = v - spec.a_inf @ v
+    rhs = spec.sigma * np.linalg.norm(spec.transform_inv @ dev, axis=0)
+    assert np.all(lhs <= rhs * (1 + 1e-10))
 
 
 def test_spectral_data_certified_constants(fig1_weights):

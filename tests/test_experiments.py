@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirgraphopt import digraph, experiments, objectives
+from dirgraphopt import digraph, objectives
 from dirgraphopt.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -18,7 +18,6 @@ from dirgraphopt.experiments import (
     cmd_stepsize_study,
     load_config,
     resolve_graph,
-    thread_cap,
 )
 
 
@@ -207,18 +206,6 @@ def test_resolve_graph_variants(tmp_path):
     assert g == digraph.random_digraph(6, 4, 2)
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv(experiments.THREADS_ENV, raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv(experiments.THREADS_ENV, "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv(experiments.THREADS_ENV, "0")
-    assert thread_cap() == 1  # clamped to at least one worker
-    monkeypatch.setenv(experiments.THREADS_ENV, "many")
-    with pytest.raises(ConfigError, match="integer"):
-        thread_cap()
-
-
 def test_build_objectives_variants(tmp_path):
     logi = make_config(tmp_path, objective="logistic", n_examples=4, dim=2)
     objs = build_objectives(logi, 5)
@@ -349,23 +336,6 @@ def test_stepsize_study_flags_divergent_grid_points(tmp_path):
     for row in report.stepsize_table:
         if not row.converged:
             assert not np.isfinite(row.residual_200) or row.residual_200 >= 1.0
-
-
-def test_stepsize_study_threaded_matches_serial(tmp_path, monkeypatch):
-    monkeypatch.delenv(experiments.THREADS_ENV, raising=False)
-    serial = cmd_stepsize_study(stepsize_config(tmp_path / "serial"))
-    monkeypatch.setenv(experiments.THREADS_ENV, "3")
-    threaded = cmd_stepsize_study(stepsize_config(tmp_path / "threaded"))
-    assert [
-        (r.alpha, r.rho, r.converged, r.residual_200)
-        for r in serial.stepsize_table
-    ] == [
-        (r.alpha, r.rho, r.converged, r.residual_200)
-        for r in threaded.stepsize_table
-    ]
-    assert (tmp_path / "serial" / "study_stepsize.csv").read_bytes() == (
-        tmp_path / "threaded" / "study_stepsize.csv"
-    ).read_bytes()
 
 
 # ---------------------------------------------------------------------------
