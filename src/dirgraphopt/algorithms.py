@@ -55,11 +55,16 @@ OVERFLOW_GUARD = 1e150
 
 
 class DivergenceError(RuntimeError):
-    """An iterate left the overflow guard; carries the iteration index."""
+    """An iterate left the overflow guard; carries the iteration index.
+
+    When raised by :func:`run`, ``trace`` holds the records of iterations
+    ``0 .. iteration - 1``, the last finite ones.
+    """
 
     def __init__(self, iteration: int, message: str | None = None) -> None:
         super().__init__(message or f"iterate diverged at iteration {iteration}")
         self.iteration = iteration
+        self.trace: Trace | None = None
 
 
 @dataclass(frozen=True)
@@ -326,24 +331,30 @@ def run(
             states.append(s)
         return res
 
+    def trace() -> Trace:
+        return Trace(
+            algorithm=algorithm,
+            alpha_label=alpha_label,
+            z_star=z_star,
+            ks=np.array(ks),
+            residual=np.array(residual),
+            consensus_err=np.array(consensus),
+            tracking_err=np.array(tracking),
+            gap=np.array(gap),
+            states=states,
+        )
+
     res = record(swarm)
     for k in range(1, max_iters + 1):
         if res <= stop_tol:
             break
-        swarm = stepper(swarm, k)
+        try:
+            swarm = stepper(swarm, k)
+        except DivergenceError as exc:
+            exc.trace = trace()
+            raise
         res = record(swarm)
-
-    return Trace(
-        algorithm=algorithm,
-        alpha_label=alpha_label,
-        z_star=z_star,
-        ks=np.array(ks),
-        residual=np.array(residual),
-        consensus_err=np.array(consensus),
-        tracking_err=np.array(tracking),
-        gap=np.array(gap),
-        states=states,
-    )
+    return trace()
 
 
 def write_trace_csv(trace: Trace, path) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.csgraph
 
 __all__ = [
     "Digraph",
@@ -42,53 +43,63 @@ COLUMN_SUM_TOL = 1e-12
 class Digraph:
     """Directed graph on ``0..n-1`` with implicit self-loops.
 
+    The graph is held as one ``(n, n)`` boolean adjacency with the diagonal
+    set: ``adj[i, j]`` is true iff ``j`` sends to ``i``, so column ``j`` lists
+    ``j``'s receivers and row ``i`` lists ``i``'s senders.
+
     Parameters
     ----------
     n : int
         Number of nodes, at least 1.
     edges : iterable of (int, int)
         ``(sender, receiver)`` pairs.  Self-loops are implied for every node
-        and must not be listed; duplicates are rejected.
+        and must not be listed; duplicates are rejected.  ``edges`` keeps them
+        as a tuple of int pairs in lexicographic order.
     """
 
-    __slots__ = ("n", "edges", "_out", "_in")
+    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges=()) -> None:
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"need at least one node, got n={n!r}")
-        self.n = int(n)
-        seen: set[tuple[int, int]] = set()
-        for e in edges:
-            j, i = e
-            j, i = int(j), int(i)
-            if not (0 <= j < n and 0 <= i < n):
+        self.n = n = int(n)
+        pairs = np.array(list(edges) or np.empty((0, 2)), dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be (sender, receiver) pairs")
+        j, i = pairs.T
+        out_of_range = (j < 0) | (j >= n) | (i < 0) | (i >= n)
+        # out-of-range pairs get distinct negative codes, so they never
+        # collide with a valid edge
+        codes = np.where(out_of_range, -1 - np.arange(len(pairs)), j * n + i)
+        codes, first = np.unique(codes, return_index=True)
+        repeated = np.ones(len(pairs), dtype=bool)
+        repeated[first] = False
+        bad = np.flatnonzero(out_of_range | (j == i) | repeated)
+        if bad.size:
+            k = bad[0]
+            e = (int(j[k]), int(i[k]))
+            if out_of_range[k]:
                 raise ValueError(f"edge {e!r} out of range for n={n}")
-            if j == i:
+            if j[k] == i[k]:
                 raise ValueError(
                     f"self-loop {e!r} is implicit and must not be listed"
                 )
-            if (j, i) in seen:
-                raise ValueError(f"duplicate edge {e!r}")
-            seen.add((j, i))
-        self.edges = tuple(sorted(seen))
-        out: list[list[int]] = [[v] for v in range(self.n)]
-        inn: list[list[int]] = [[v] for v in range(self.n)]
-        for j, i in self.edges:
-            out[j].append(i)
-            inn[i].append(j)
-        self._out = tuple(tuple(sorted(vs)) for vs in out)
-        self._in = tuple(tuple(sorted(vs)) for vs in inn)
+            raise ValueError(f"duplicate edge {e!r}")
+        senders, receivers = np.divmod(codes, n)
+        self.edges = tuple(zip(senders.tolist(), receivers.tolist()))
+        self._adj = np.eye(n, dtype=bool)
+        self._adj[receivers, senders] = True
 
     def out_neighbors(self, j: int) -> tuple[int, ...]:
         """Nodes that receive from ``j`` (always includes ``j`` itself)."""
-        return self._out[j]
+        return tuple(np.flatnonzero(self._adj[:, j]).tolist())
 
     def in_neighbors(self, i: int) -> tuple[int, ...]:
         """Nodes that send to ``i`` (always includes ``i`` itself)."""
-        return self._in[i]
+        return tuple(np.flatnonzero(self._adj[i]).tolist())
 
     def out_degree(self, j: int) -> int:
-        return len(self._out[j])
+        return int(np.count_nonzero(self._adj[:, j]))
 
     @property
     def edge_count(self) -> int:
@@ -97,10 +108,7 @@ class Digraph:
 
     def adjacency(self) -> np.ndarray:
         """Boolean matrix with ``adj[i, j]`` true iff ``j`` sends to ``i``."""
-        adj = np.eye(self.n, dtype=bool)
-        for j, i in self.edges:
-            adj[i, j] = True
-        return adj
+        return self._adj.copy()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):
@@ -116,19 +124,10 @@ class Digraph:
 
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff every node can reach every other along directed edges."""
-
-    def reaches_all(neighbors) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == g.n
-
-    return reaches_all(g.out_neighbors) and reaches_all(g.in_neighbors)
+    count, _ = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_array(g.adjacency()), directed=True, connection="strong"
+    )
+    return count == 1
 
 
 @dataclass(frozen=True)
@@ -164,12 +163,8 @@ def uniform_weights(g: Digraph) -> WeightMatrix:
     """
     if not is_strongly_connected(g):
         raise ValueError("graph is not strongly connected")
-    a = np.zeros((g.n, g.n))
-    for j in range(g.n):
-        share = 1.0 / g.out_degree(j)
-        for i in g.out_neighbors(j):
-            a[i, j] = share
-    return WeightMatrix(a)
+    adj = g.adjacency()
+    return WeightMatrix(adj / adj.sum(axis=0))
 
 
 def perron_limit(w: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -222,7 +217,8 @@ def contraction_norm(
     with ``n``.  ``slack=None`` targets the midpoint of the spectral gap,
     which balances a small contraction factor against a well-conditioned
     transform.  The conditioning of ``P`` grows like ``1 / slack``; a slack
-    near roundoff that leaves ``P`` indefinite raises ``ValueError``.
+    near roundoff that leaves ``P`` indefinite, or that lets the computed
+    ``sigma`` exceed ``rho + slack``, raises ``ValueError``.
 
     Returns ``(sigma, S)`` where ``sigma = |A - A_inf|_S`` is computed in the
     returned basis and ``S`` is normalized to ``|S|_2 = 1``.
@@ -256,7 +252,13 @@ def contraction_norm(
     # and the norm-equivalence constant c becomes exactly 1
     s_mat = (vecs * np.sqrt(vals[0] / vals)) @ vecs.T
     s_inv = (vecs * np.sqrt(vals / vals[0])) @ vecs.T
-    return float(np.linalg.norm(s_inv @ m @ s_mat, 2)), s_mat
+    sigma = float(np.linalg.norm(s_inv @ m @ s_mat, 2))
+    if sigma > r:
+        raise ValueError(
+            f"slack {slack} too small: the computed norm exceeds rho + slack "
+            f"by {sigma - r:.3g}"
+        )
+    return sigma, s_mat
 
 
 @dataclass(frozen=True)
@@ -365,28 +367,22 @@ def fig1() -> Digraph:
     return Digraph(10, _FIG1_EDGES)
 
 
+def _cycle(n: int) -> np.ndarray:
+    """Edges ``v -> v+1 (mod n)`` as ``(sender, receiver)`` rows."""
+    v = np.arange(n)
+    return np.column_stack((v, (v + 1) % n))
+
+
 def ring_digraph(n: int) -> Digraph:
     """Directed cycle 0 -> 1 -> ... -> n-1 -> 0 (sparsest strongly-connected graph)."""
     if n < 2:
         return Digraph(n)
-    return Digraph(n, [(v, (v + 1) % n) for v in range(n)])
+    return Digraph(n, _cycle(n))
 
 
 def complete_digraph(n: int) -> Digraph:
     """All ordered pairs of distinct nodes."""
-    return Digraph(n, [(j, i) for j in range(n) for i in range(n) if i != j])
-
-
-def _candidate_edges(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    cycle = {(v, (v + 1) % n) for v in range(n)}
-    rest = [
-        (j, i)
-        for j in range(n)
-        for i in range(n)
-        if i != j and (j, i) not in cycle
-    ]
-    order = rng.permutation(len(rest))
-    return [rest[k] for k in order]
+    return Digraph(n, np.argwhere(~np.eye(n, dtype=bool)))
 
 
 def random_digraph(n: int, extra_edges: int, seed: int) -> Digraph:
@@ -396,35 +392,36 @@ def random_digraph(n: int, extra_edges: int, seed: int) -> Digraph:
     """
     if n < 2:
         raise ValueError("random digraph needs at least 2 nodes")
-    rng = np.random.default_rng(seed)
-    pool = _candidate_edges(n, rng)
-    if extra_edges > len(pool):
-        raise ValueError(
-            f"at most {len(pool)} extra edges available on {n} nodes, "
-            f"got {extra_edges}"
-        )
-    edges = [(v, (v + 1) % n) for v in range(n)] + pool[:extra_edges]
-    return Digraph(n, edges)
+    return nested_chain(n, (extra_edges,), seed)[0]
 
 
 def nested_chain(n: int, extra_counts: tuple[int, ...], seed: int) -> list[Digraph]:
     """Chain of graphs with identical cycle backbone and nested edge sets.
 
-    ``extra_counts`` must be nondecreasing; graph ``k`` holds the first
-    ``extra_counts[k]`` entries of one shuffled candidate pool, so each graph
-    contains all edges of the previous one.
+    ``extra_counts`` must be nonnegative and nondecreasing; graph ``k`` holds
+    the first ``extra_counts[k]`` entries of one shuffled candidate pool, so
+    each graph contains all edges of the previous one.  The pool is every
+    edge off the diagonal and off the cycle in lexicographic
+    ``(sender, receiver)`` order, shuffled by one ``permutation`` of its
+    length, so a seed always gives the same graphs.
     """
-    if any(b < a for a, b in zip(extra_counts, extra_counts[1:])):
-        raise ValueError(f"extra edge counts must be nondecreasing: {extra_counts}")
-    rng = np.random.default_rng(seed)
-    pool = _candidate_edges(n, rng)
-    if extra_counts and extra_counts[-1] > len(pool):
+    if any(b < a for a, b in zip((0, *extra_counts), extra_counts)):
         raise ValueError(
-            f"at most {len(pool)} extra edges available on {n} nodes, "
-            f"got {extra_counts[-1]}"
+            f"extra edge counts must be nonnegative and nondecreasing: {extra_counts}"
         )
-    cycle = [(v, (v + 1) % n) for v in range(n)]
-    return [Digraph(n, cycle + pool[:count]) for count in extra_counts]
+    cycle = _cycle(n)
+    free = ~np.eye(n, dtype=bool)
+    free[cycle[:, 0], cycle[:, 1]] = False
+    pool = np.argwhere(free)
+    most = extra_counts[-1] if extra_counts else 0
+    if most > len(pool):
+        raise ValueError(
+            f"at most {len(pool)} extra edges available on {n} nodes, got {most}"
+        )
+    extras = pool[np.random.default_rng(seed).permutation(len(pool))[:most]]
+    return [
+        Digraph(n, np.concatenate((cycle, extras[:count]))) for count in extra_counts
+    ]
 
 
 _BUILTINS = {

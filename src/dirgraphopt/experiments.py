@@ -285,10 +285,7 @@ def cmd_compare(cfg: ExperimentConfig) -> ComparisonReport:
                 theta=cfg.theta, z_star=opt.z_star, pi=pi,
             )
         except algorithms.DivergenceError as exc:
-            trace = algorithms.run(
-                name, weights, objs, alpha, max(exc.iteration - 1, 0), 0.0,
-                theta=cfg.theta, z_star=opt.z_star, pi=pi,
-            )
+            trace = exc.trace
             diverged = True
         algorithms.write_trace_csv(trace, cfg.out_dir / f"{cfg.prefix}_{name}.csv")
         report.summaries[name] = _summarize(trace, diverged)
@@ -359,7 +356,7 @@ def _sparsity_graphs(cfg: ExperimentConfig) -> list[tuple[str, digraph.Digraph]]
         graphs = [(Path(f).name, digraph.load_graph(f)) for f in cfg.graph_files]
     else:
         chain = cfg.chain_extra or (0, 20, 60)
-        nodes = cfg.graph[1] if cfg.graph[0] == "random" else 10
+        nodes = resolve_graph(cfg).n
         graphs = [
             (f"chain{idx}", g)
             for idx, g in enumerate(digraph.nested_chain(nodes, chain, cfg.seed))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,20 @@ def test_run_baseline_divergence_reports_iteration(fig1_weights):
     with pytest.raises(DivergenceError) as exc_info:
         run("addopt", fig1_weights, objs, 50.0, 3000, 0.0)
     assert 1 <= exc_info.value.iteration <= 3000
+
+
+@pytest.mark.parametrize("algorithm", ["addopt", "dextra", "gradient_push"])
+def test_divergence_carries_trace_up_to_last_finite_iterate(fig1_weights, algorithm):
+    objs = quadratic_set(10, 2, seed=1)
+    with pytest.raises(DivergenceError) as exc_info:
+        run(algorithm, fig1_weights, objs, 50.0, 3000, 0.0)
+    exc = exc_info.value
+    again = run(algorithm, fig1_weights, objs, 50.0, exc.iteration - 1, 0.0)
+    assert exc.trace.iterations == exc.iteration - 1
+    for f in dataclasses.fields(algorithms.Trace):
+        np.testing.assert_array_equal(
+            getattr(exc.trace, f.name), getattr(again, f.name), err_msg=f.name
+        )
 
 
 def test_trace_csv_roundtrip(tmp_path, ring4, quad4):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -68,6 +70,16 @@ def test_rejects_out_of_range_edge():
         Digraph(3, [(-1, 0)])
 
 
+def test_rejects_first_bad_edge_in_input_order():
+    # validation runs over all edges at once but reports the earliest offender
+    with pytest.raises(ValueError, match="self-loop"):
+        Digraph(3, [(1, 1), (0, 5)])
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+        Digraph(3, [(0, 1), (0, 1), (0, 5)])
+    with pytest.raises(ValueError, match="out of range"):
+        Digraph(3, [(0, 5), (2, 2)])
+
+
 def test_neighbors_include_self_and_match_edges():
     g = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     assert g.out_neighbors(0) == (0, 1)
@@ -103,6 +115,41 @@ def test_path_graph_is_not_strongly_connected():
     assert not is_strongly_connected(Digraph(4, [(0, 1), (1, 2), (2, 3)]))
 
 
+def _reaches_all(n: int, edges) -> bool:
+    """Reference: boolean transitive closure by repeated squaring."""
+    reach = np.eye(n, dtype=bool)
+    for j, i in edges:
+        reach[j, i] = True
+    for _ in range(n.bit_length()):
+        reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+    return bool(reach.all())
+
+
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda e: e[0] != e[1]
+                ),
+                max_size=n * (n - 1),
+            ),
+        )
+    )
+)
+@settings(max_examples=200)
+def test_strong_connectivity_matches_transitive_closure(case):
+    # arbitrary edge sets, most of them not strongly connected
+    n, edges = case
+    g = Digraph(n, edges)
+    assert is_strongly_connected(g) == _reaches_all(n, edges)
+    for v in range(n):
+        assert g.out_neighbors(v) == tuple(sorted({v} | {i for j, i in edges if j == v}))
+        assert g.in_neighbors(v) == tuple(sorted({v} | {j for j, i in edges if i == v}))
+        assert g.out_degree(v) == len(g.out_neighbors(v))
+
+
 def test_fig1_is_strongly_connected():
     g = builtin_graph("fig1")
     assert g.n == 10 and g.edge_count == 25
@@ -132,6 +179,25 @@ def test_random_digraph_capacity_error():
     with pytest.raises(ValueError, match="at most"):
         random_digraph(4, 9, 0)
     random_digraph(4, 8, 0)  # exactly at capacity is fine
+
+
+def test_seeded_graphs_are_pinned():
+    # a seed must give the same graph, and the same weight bytes, in every
+    # version of the generators
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    g = random_digraph(200, 800, 1)
+    assert digest(repr(g.edges).encode()) == (
+        "45a44461069ad8ce2c05c1b0898b26a9e1dd637b0826b95aebc9d83c823e00f8"
+    )
+    assert digest(uniform_weights(g).entries.tobytes()) == (
+        "a03b891c07048fbe6b98119bdd8aac2dec4ebc81023285ecb2dafc8f520498cc"
+    )
+    chain = nested_chain(10, (0, 20, 60), seed=0)
+    assert digest(repr([c.edges for c in chain]).encode()) == (
+        "a28dc9df94ecb7d611dbcc4797b3291171434c0d311f2339ce29d2dad4fd6fb1"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +235,17 @@ def test_uniform_weights_column_stochastic_on_support(params):
     np.testing.assert_allclose(w.entries.sum(axis=0), 1.0, atol=1e-12)
     # zero exactly off the adjacency support, positive on it
     assert np.all((w.entries > 0) == g.adjacency())
+
+
+@given(graph_params)
+def test_uniform_weights_match_per_edge_loop(params):
+    # reference: every sender writes 1.0 / out-degree into its column
+    g = random_digraph(*params)
+    ref = np.zeros((g.n, g.n))
+    for j in range(g.n):
+        receivers = [j] + [i for sender, i in g.edges if sender == j]
+        ref[receivers, j] = 1.0 / len(receivers)
+    assert uniform_weights(g).entries.tobytes() == ref.tobytes()
 
 
 def test_weight_matrix_validation():
@@ -325,6 +402,17 @@ def test_contraction_norm_rejects_indefinite_lyapunov_solution(fig1_weights, mon
         contraction_norm(fig1_weights, slack=1e-12)
 
 
+def test_contraction_norm_rejects_slack_it_cannot_meet():
+    # at slack 1e-9 the Lyapunov solution is too ill-conditioned for the
+    # computed norm to stay below rho + slack (it overshoots by ~7e-3)
+    w = uniform_weights(random_digraph(40, 160, 3))
+    with pytest.raises(ValueError, match="slack .* too small"):
+        contraction_norm(w, slack=1e-9)
+    sigma, _ = contraction_norm(w, slack=1e-6)
+    m = w.entries - perron_limit(w)[1]
+    assert sigma <= np.max(np.abs(np.linalg.eigvals(m))) + 1e-6
+
+
 def test_contraction_norm_default_targets_gap_midpoint(fig1_weights):
     _, a_inf = perron_limit(fig1_weights)
     m = fig1_weights.entries - a_inf
@@ -457,6 +545,14 @@ def test_nested_chain_is_nested_and_deterministic():
 def test_nested_chain_rejects_decreasing_counts():
     with pytest.raises(ValueError, match="nondecreasing"):
         nested_chain(10, (20, 0), seed=0)
+
+
+def test_generators_reject_negative_extra_counts():
+    # a negative count must not silently slice the shuffled pool from its end
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_digraph(5, -1, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        nested_chain(5, (-2, 3), seed=0)
 
 
 def test_nested_chain_rejects_overfull_counts():

@@ -384,6 +384,18 @@ def test_sparsity_strict_nesting_rejects_disjoint_chains(tmp_path):
     assert [row.label for row in report.sparsity_rows] == ["fwd.txt", "rev.txt"]
 
 
+def test_sparsity_chain_takes_node_count_from_graph_file(tmp_path):
+    g_path = tmp_path / "g20.txt"
+    digraph.save_graph(digraph.ring_digraph(20), g_path)
+    cfg = make_config(
+        tmp_path, graph=("file", str(g_path)), alpha=0.1, dim=2, iters=300,
+        chain_extra=(60, 120),
+    )
+    report = cmd_sparsity_study(cfg)
+    # a 20-node cycle plus the extra edges, not a 10-node chain
+    assert [row.edge_count for row in report.sparsity_rows] == [80, 140]
+
+
 def test_sparsity_complete_graph_is_weakly_fastest(tmp_path):
     cfg = make_config(
         tmp_path, graph=("random", 6, 0, 0), alpha=0.03, dim=3, iters=1500,
