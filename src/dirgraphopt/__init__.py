@@ -5,71 +5,6 @@ tracking, plus the spectral machinery that certifies linear convergence of
 the tracked constant-step engine and bounds its admissible step sizes.
 """
 
-from .algorithms import (
-    AgentSwarm,
-    DivergenceError,
-    Trace,
-    addopt_init,
-    addopt_step,
-    dextra_init,
-    dextra_step,
-    dextra_tilde,
-    gradient_push_init,
-    gradient_push_step,
-    run,
-    write_trace_csv,
-)
-from .analysis import (
-    ConvergenceProfile,
-    KeyRelationReport,
-    alpha_estimate,
-    alpha_unit_crossing,
-    alpha_upper_bound,
-    build_G,
-    build_H,
-    build_profile,
-    eta,
-    fit_push_sum_envelope,
-    optimal_alpha,
-    push_sum_extremes,
-    residual_slope,
-    spectral_radius,
-    t_vector,
-    verify_key_relation,
-)
-from .digraph import (
-    Digraph,
-    SpectralData,
-    WeightMatrix,
-    builtin_graph,
-    complete_digraph,
-    contraction_norm,
-    fig1,
-    is_strongly_connected,
-    load_graph,
-    nested_chain,
-    perron_limit,
-    random_digraph,
-    ring_digraph,
-    save_graph,
-    spectral_data,
-    tau_eps,
-    uniform_weights,
-)
-from .objectives import (
-    Logistic,
-    LogisticData,
-    Objective,
-    Optimum,
-    Quadratic,
-    centralized_solve,
-    generate_dataset,
-    load_dataset_csv,
-    logistic_objective,
-    network_constants,
-    quadratic_objective,
-    save_dataset_csv,
-    stacked_gradient,
-)
+from . import algorithms, analysis, digraph, experiments, objectives
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ Subcommands::
     dirgraphopt sparsity --config FILE    graph-density study
 
 Exit status is 0 only when every requested run completed without
-divergence; config and usage errors exit 2.
+divergence; a diverged run exits 1, config and usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -85,18 +85,15 @@ def _cmd_run(args) -> int:
     else:
         data = objectives.generate_dataset(g.n, args.m, args.p, args.seed, reg=args.reg)
         objs = objectives.logistic_objective(data)
-    alpha = args.alpha if args.alpha == "1/sqrt(k)" else float(args.alpha)
+    alpha = experiments.parse_alpha(args.alpha)
+    if isinstance(alpha, tuple):
+        raise experiments.ConfigError("run needs a single step size, not a sweep")
     z0 = None
     if args.z0 is not None:
         z0 = np.full((g.n, objs[0].dim), args.z0)
-    try:
-        trace = algorithms.run(
-            args.alg, w, objs, alpha, args.iters, args.stop_tol,
-            theta=args.theta, z0=z0,
-        )
-    except algorithms.DivergenceError as exc:
-        print(f"diverged at iteration {exc.iteration}", file=sys.stderr)
-        return 1
+    trace = algorithms.run(
+        args.alg, w, objs, alpha, args.iters, args.stop_tol, theta=args.theta, z0=z0
+    )
     algorithms.write_trace_csv(trace, args.out)
     print(f"wrote {args.out} ({trace.records} records, final residual "
           f"{trace.final_residual:.3e})")
@@ -104,6 +101,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    sweep = experiments.parse_alpha(args.sweep) if args.sweep else None
+    if sweep is not None and not isinstance(sweep, tuple):
+        raise experiments.ConfigError(f"--sweep needs lo:hi:steps, got {args.sweep!r}")
     g = _load_graph_arg(args.graph)
     if args.n is not None and args.n != g.n:
         raise experiments.ConfigError(
@@ -113,9 +113,8 @@ def _cmd_analyze(args) -> int:
     profile = analysis.build_profile(w, args.l, args.s, args.slack)
     bound = analysis.alpha_upper_bound(profile)
     print(f"# alpha_bar = {bound!r}")
-    if args.sweep:
-        lo, hi, steps = args.sweep.split(":")
-        grid = np.linspace(float(lo), float(hi), int(steps))
+    if sweep:
+        grid = np.linspace(*sweep[1:])
     elif args.alpha is not None:
         grid = [args.alpha]
     else:
@@ -224,6 +223,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except algorithms.DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (experiments.ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

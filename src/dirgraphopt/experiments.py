@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +26,7 @@ __all__ = [
     "SparsityRow",
     "ComparisonReport",
     "load_config",
+    "parse_alpha",
     "cmd_compare",
     "cmd_stepsize_study",
     "cmd_sparsity_study",
@@ -40,7 +42,9 @@ class ExperimentConfig:
 
     ``graph`` is one of ``("builtin", name)``, ``("file", path)`` or
     ``("random", n, extra_edges, seed)``; ``alpha`` is a constant, the
-    string ``"1/sqrt(k)"``, or ``("sweep", lo, hi, steps)``.
+    string ``"1/sqrt(k)"``, or ``("sweep", lo, hi, steps)``.  ``algorithms``
+    holds canonical engine names: construction resolves aliases and rejects
+    unknown or repeated engines.
     """
 
     graph: tuple
@@ -62,6 +66,15 @@ class ExperimentConfig:
     strict_nesting: bool = False
     graph_files: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        names = tuple(algorithms._ALIASES.get(a, a) for a in self.algorithms)
+        for a, name in zip(self.algorithms, names):
+            if name not in algorithms._ENGINES:
+                raise ConfigError(f"unknown algorithm {a!r}")
+        if len(set(names)) != len(names):
+            raise ConfigError(f"algorithm list has duplicates: {self.algorithms}")
+        object.__setattr__(self, "algorithms", names)
+
     @property
     def sweep(self) -> tuple[float, float, int] | None:
         if isinstance(self.alpha, tuple) and self.alpha[0] == "sweep":
@@ -69,7 +82,8 @@ class ExperimentConfig:
         return None
 
 
-def _parse_alpha(text: str):
+def parse_alpha(text: str):
+    """Parse a step-size spec: a constant, ``1/sqrt(k)`` or ``lo:hi:steps``."""
     text = text.strip()
     if text.replace(" ", "") == "1/sqrt(k)":
         return "1/sqrt(k)"
@@ -128,11 +142,6 @@ def load_config(path) -> ExperimentConfig:
     algs = tuple(
         a.strip() for a in str(run_sec.get("algorithms", "addopt")).split(",") if a.strip()
     )
-    for a in algs:
-        if algorithms._ALIASES.get(a, a) not in algorithms._ENGINES:
-            raise ConfigError(f"unknown algorithm {a!r}")
-    if len(set(algs)) != len(algs):
-        raise ConfigError(f"algorithm list has duplicates: {algs}")
 
     seeds_text = str(sparsity_sec.get("seeds", run_sec.get("seeds", ""))).strip()
     seeds = tuple(int(v) for v in seeds_text.split(",") if v.strip()) if seeds_text else ()
@@ -149,7 +158,7 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(
         graph=graph,
         algorithms=algs,
-        alpha=_parse_alpha(str(run_sec.get("alpha", "0.1"))),
+        alpha=parse_alpha(str(run_sec.get("alpha", "0.1"))),
         objective=objective,
         reg=float(obj_sec.get("reg", 1.0)),
         seed=int(obj_sec.get("seed", 0)),
@@ -257,6 +266,46 @@ def _summarize(trace: algorithms.Trace, diverged: bool = False) -> TraceSummary:
     )
 
 
+def _prepare(cfg: ExperimentConfig, graph: digraph.Digraph, seed: int) -> tuple:
+    """Mixing weights, objectives, reference optimum ``z*`` and stationary
+    vector ``pi`` of one (graph, data seed) pair."""
+    weights = digraph.uniform_weights(graph)
+    objs = build_objectives(cfg, graph.n, seed=seed)
+    opt = objectives.centralized_solve(objs)
+    pi, _ = digraph.perron_limit(weights)
+    return weights, objs, opt.z_star, pi
+
+
+def _run_lanes(
+    cfg: ExperimentConfig, prepared: tuple, lanes, stop_tol: float
+) -> Iterator[tuple[algorithms.Trace, bool]]:
+    """Run each ``(algorithm, alpha)`` lane on ``prepared``, in order, and
+    yield ``(trace, diverged)``; a diverged lane's trace ends at its last
+    finite iterate."""
+    weights, objs, z_star, pi = prepared
+    for name, alpha in lanes:
+        try:
+            trace, diverged = algorithms.run(
+                name, weights, objs, alpha, cfg.iters, stop_tol,
+                theta=cfg.theta, z_star=z_star, pi=pi,
+            ), False
+        except algorithms.DivergenceError as exc:
+            trace, diverged = exc.trace, True
+        yield trace, diverged
+
+
+def _out_path(cfg: ExperimentConfig, suffix: str) -> Path:
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg.out_dir / f"{cfg.prefix}_{suffix}.csv"
+
+
+def _write_csv(cfg: ExperimentConfig, suffix: str, header: list, rows) -> None:
+    with open(_out_path(cfg, suffix), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_compare(cfg: ExperimentConfig) -> ComparisonReport:
     """Run each configured algorithm once; write per-algorithm traces + a summary.
 
@@ -267,40 +316,24 @@ def cmd_compare(cfg: ExperimentConfig) -> ComparisonReport:
     """
     if cfg.sweep is not None:
         raise ConfigError("compare needs a single step size, not a sweep")
-    graph = resolve_graph(cfg)
-    weights = digraph.uniform_weights(graph)
-    objs = build_objectives(cfg, graph.n)
-    opt = objectives.centralized_solve(objs)
-    pi, _ = digraph.perron_limit(weights)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-
+    prepared = _prepare(cfg, resolve_graph(cfg), cfg.seed)
+    lanes = [
+        (name, "1/sqrt(k)" if name == "gradient_push" else cfg.alpha)
+        for name in cfg.algorithms
+    ]
     report = ComparisonReport()
-    for alg in cfg.algorithms:
-        name = algorithms._ALIASES.get(alg, alg)
-        alpha = "1/sqrt(k)" if name == "gradient_push" else cfg.alpha
-        diverged = False
-        try:
-            trace = algorithms.run(
-                name, weights, objs, alpha, cfg.iters, cfg.stop_tol,
-                theta=cfg.theta, z_star=opt.z_star, pi=pi,
-            )
-        except algorithms.DivergenceError as exc:
-            trace = exc.trace
-            diverged = True
-        algorithms.write_trace_csv(trace, cfg.out_dir / f"{cfg.prefix}_{name}.csv")
-        report.summaries[name] = _summarize(trace, diverged)
-
-    with open(cfg.out_dir / f"{cfg.prefix}_summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["algorithm", "alpha", "iterations", "final_residual", "slope", "r2", "diverged"]
-        )
-        for name in (algorithms._ALIASES.get(a, a) for a in cfg.algorithms):
-            s = report.summaries[name]
-            writer.writerow(
-                [s.algorithm, s.alpha_label, s.iterations,
-                 repr(s.final_residual), repr(s.slope), repr(s.r2), int(s.diverged)]
-            )
+    for trace, diverged in _run_lanes(cfg, prepared, lanes, cfg.stop_tol):
+        algorithms.write_trace_csv(trace, _out_path(cfg, trace.algorithm))
+        report.summaries[trace.algorithm] = _summarize(trace, diverged)
+    _write_csv(
+        cfg, "summary",
+        ["algorithm", "alpha", "iterations", "final_residual", "slope", "r2", "diverged"],
+        (
+            [s.algorithm, s.alpha_label, s.iterations,
+             repr(s.final_residual), repr(s.slope), repr(s.r2), int(s.diverged)]
+            for s in report.summaries.values()
+        ),
+    )
     return report
 
 
@@ -309,46 +342,35 @@ def cmd_stepsize_study(cfg: ExperimentConfig) -> ComparisonReport:
 
     Per grid point: the recursion radius ``rho(G(alpha))``, a convergence
     flag, and the residual after the configured iteration count (200 by
-    convention).  Rows are written in increasing alpha order.
+    convention).  Rows are written in increasing alpha order.  The graph is
+    certified before any grid point runs.
     """
     sweep = cfg.sweep
     if sweep is None:
         raise ConfigError("stepsize study needs alpha = lo:hi:steps")
-    lo, hi, steps = sweep
-    grid = np.linspace(lo, hi, steps)
-    graph = resolve_graph(cfg)
-    weights = digraph.uniform_weights(graph)
-    objs = build_objectives(cfg, graph.n)
+    grid = [float(alpha) for alpha in np.linspace(*sweep)]
+    prepared = _prepare(cfg, resolve_graph(cfg), cfg.seed)
+    weights, objs, _, _ = prepared
     l, s = objectives.network_constants(objs)
     profile = analysis.build_profile(weights, l, s, cfg.slack)
-    opt = objectives.centralized_solve(objs)
 
     rows = []
-    for alpha in map(float, grid):
-        rho = analysis.spectral_radius(analysis.build_G(profile, alpha))
-        try:
-            residual = algorithms.run(
-                "addopt", weights, objs, alpha, cfg.iters, 0.0,
-                theta=cfg.theta, z_star=opt.z_star, pi=profile.spectral.pi,
-            ).final_residual
-        except algorithms.DivergenceError:
-            residual = float("inf")
-        converged = bool(np.isfinite(residual) and residual < 1.0)
-        rows.append(StepsizeRow(alpha=alpha, rho=rho, converged=converged,
-                                residual_200=residual))
-
-    report = ComparisonReport(
+    lanes = [("addopt", alpha) for alpha in grid]
+    for alpha, (trace, diverged) in zip(grid, _run_lanes(cfg, prepared, lanes, 0.0)):
+        residual = float("inf") if diverged else trace.final_residual
+        rows.append(StepsizeRow(
+            alpha=alpha,
+            rho=analysis.spectral_radius(analysis.build_G(profile, alpha)),
+            converged=bool(np.isfinite(residual) and residual < 1.0),
+            residual_200=residual,
+        ))
+    _write_csv(
+        cfg, "stepsize", ["alpha", "rho", "converged", f"residual_{cfg.iters}"],
+        ([repr(r.alpha), repr(r.rho), int(r.converged), repr(r.residual_200)] for r in rows),
+    )
+    return ComparisonReport(
         alpha_bar=analysis.alpha_upper_bound(profile), stepsize_table=rows
     )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(cfg.out_dir / f"{cfg.prefix}_stepsize.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "rho", "converged", f"residual_{cfg.iters}"])
-        for row in rows:
-            writer.writerow(
-                [repr(row.alpha), repr(row.rho), int(row.converged), repr(row.residual_200)]
-            )
-    return report
 
 
 def _sparsity_graphs(cfg: ExperimentConfig) -> list[tuple[str, digraph.Digraph]]:
@@ -373,33 +395,35 @@ def cmd_sparsity_study(cfg: ExperimentConfig) -> ComparisonReport:
 
     Each graph is run with every configured data seed at the fixed step
     size; the per-run slope comes from the standard fit window (residual in
-    (1e-12, 1e-1]).
+    (1e-12, 1e-1]).  A run that diverges raises ``DivergenceError``, and one
+    with fewer than two residuals in the window raises ``ConfigError``; both
+    name the graph and the seed, and no CSV is written.
     """
     if not isinstance(cfg.alpha, float):
         raise ConfigError("sparsity study needs a constant step size")
     seeds = cfg.seeds or (cfg.seed,)
-    graphs = _sparsity_graphs(cfg)
     rows: list[SparsityRow] = []
-    for label, g in graphs:
-        weights = digraph.uniform_weights(g)
-        pi, _ = digraph.perron_limit(weights)
+    for label, g in _sparsity_graphs(cfg):
         for seed in seeds:
-            objs = build_objectives(cfg, g.n, seed=seed)
-            opt = objectives.centralized_solve(objs)
-            trace = algorithms.run(
-                "addopt", weights, objs, cfg.alpha, cfg.iters, 0.0,
-                z_star=opt.z_star, pi=pi,
-            )
-            fit = analysis.residual_slope(trace, lo=1e-12, hi=1e-1)
+            lane = [("addopt", cfg.alpha)]
+            [(trace, diverged)] = _run_lanes(cfg, _prepare(cfg, g, seed), lane, 0.0)
+            if diverged:
+                k = trace.iterations + 1
+                raise algorithms.DivergenceError(
+                    k, f"{label} seed {seed}: iterate diverged at iteration {k}"
+                )
+            try:
+                slope = analysis.residual_slope(trace, lo=1e-12, hi=1e-1).slope
+            except ValueError:
+                raise ConfigError(
+                    f"{label} seed {seed}: fewer than two residuals in the fit "
+                    f"window (1e-12, 1e-1] within {cfg.iters} iterations"
+                ) from None
             rows.append(
-                SparsityRow(label=label, edge_count=g.edge_count, seed=seed,
-                            slope=fit.slope)
+                SparsityRow(label=label, edge_count=g.edge_count, seed=seed, slope=slope)
             )
-    report = ComparisonReport(sparsity_rows=rows)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(cfg.out_dir / f"{cfg.prefix}_sparsity.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["graph", "edges", "seed", "slope"])
-        for row in rows:
-            writer.writerow([row.label, row.edge_count, row.seed, repr(row.slope)])
-    return report
+    _write_csv(
+        cfg, "sparsity", ["graph", "edges", "seed", "slope"],
+        ([r.label, r.edge_count, r.seed, repr(r.slope)] for r in rows),
+    )
+    return ComparisonReport(sparsity_rows=rows)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,3 +381,65 @@ def test_cli_module_entrypoint_smoke():
     )
     assert proc.returncode == 0
     assert "strongly_connected = True" in proc.stdout
+
+
+def test_sparsity_divergence_names_the_lane(capsys, tmp_path):
+    cfg = write_config(tmp_path, "sp.ini", f"""
+[objective]
+kind = quadratic
+dim = 3
+
+[run]
+alpha = 5.0
+iters = 300
+
+[output]
+dir = {tmp_path / "out"}
+""")
+    code, _, err = run_cli(capsys, "sparsity", "--config", cfg)
+    assert code == 1
+    assert err == "error: chain0 seed 0: iterate diverged at iteration 197\n"
+    assert not (tmp_path / "out" / "study_sparsity.csv").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("1:2", "sweep spec must be lo:hi:steps, got '1:2'"),
+    ("0.5:0.1:3", "sweep range '0.5:0.1:3' is empty or inverted"),
+])
+def test_analyze_sweep_spec_errors_match_the_config(capsys, spec, message):
+    code, out, err = run_cli(
+        capsys, "analyze", "--graph", "fig1", "--l", "1.0", "--s", "1.0",
+        "--sweep", spec,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_run_accepts_spaced_diminishing_rule(capsys, tmp_path):
+    out_csv = tmp_path / "trace.csv"
+    code, _, _ = run_cli(
+        capsys, "run", "--alg", "gp", "--graph", "fig1",
+        "--alpha", "1/ sqrt(k)", "--iters", "20", "--out", str(out_csv),
+    )
+    assert code == 0 and out_csv.exists()
+
+
+def test_shipped_configs_run_and_reproduce(capsys, tmp_path, monkeypatch):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    studies = {
+        "compare_fig1": ("compare", ["addopt", "dextra", "gradient_push", "summary"]),
+        "stepsize_fig1": ("sweep", ["stepsize"]),
+        "sparsity_chain": ("sparsity", ["sparsity"]),
+    }
+    outputs = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        for name, (study, suffixes) in studies.items():
+            code, _, err = run_cli(capsys, study, "--config", str(configs / f"{name}.ini"))
+            assert code == 0, err
+            assert sorted(p.name for p in Path("out").glob(f"{name}_*.csv")) == [
+                f"{name}_{suffix}.csv" for suffix in suffixes
+            ]
+        outputs.append({p.name: p.read_bytes() for p in Path("out").glob("*.csv")})
+    assert outputs[0] == outputs[1]

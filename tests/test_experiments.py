@@ -414,3 +414,33 @@ def test_sparsity_complete_graph_is_weakly_fastest(tmp_path):
     rows = read_csv(tmp_path / "study_sparsity.csv")
     assert rows[0] == ["graph", "edges", "seed", "slope"]
     assert len(rows) == 10
+
+
+def test_sparsity_fit_window_miss_names_the_run(tmp_path):
+    # at this step the residual stays above 1e-1 for the whole budget
+    cfg = make_config(tmp_path, alpha=0.0005, iters=300, seeds=(0, 1))
+    with pytest.raises(ConfigError) as info:
+        cmd_sparsity_study(cfg)
+    message = str(info.value)
+    for part in ("chain0 seed 0", "(1e-12, 1e-1]", "300 iterations"):
+        assert part in message
+    assert not (tmp_path / "study_sparsity.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# engine names
+# ---------------------------------------------------------------------------
+
+
+def test_config_engine_names_are_canonical(tmp_path):
+    assert make_config(tmp_path, algorithms=("gp", "addopt")).algorithms == (
+        "gradient_push", "addopt",
+    )
+    with pytest.raises(ConfigError, match="unknown algorithm 'sgd'"):
+        make_config(tmp_path, algorithms=("addopt", "sgd"))
+    with pytest.raises(ConfigError, match="duplicates"):
+        make_config(tmp_path, algorithms=("gradient_push", "gp"))
+    path = tmp_path / "alias.ini"
+    path.write_text("[run]\nalgorithms = gp, gradient_push\n")
+    with pytest.raises(ConfigError, match="duplicates"):
+        load_config(path)
