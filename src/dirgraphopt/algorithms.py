@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import WeightMatrix
-from .objectives import stacked_gradient
+from .objectives import StackedProblem, stack, stacked_gradient
 
 __all__ = [
     "OVERFLOW_GUARD",
@@ -75,10 +75,11 @@ class AgentSwarm:
     (summing to n for column-stochastic mixing), ``z = x / y`` the estimates,
     ``w`` the gradient tracker (engines without tracking leave it ``None``).
     ``grad`` caches each agent's gradient at its current ``z``; two-step
-    engines also keep the previous ``x`` and gradient.
+    engines also keep the previous ``x`` and gradient.  ``objectives`` is the
+    batched problem built by :func:`~dirgraphopt.objectives.stack`.
     """
 
-    objectives: tuple
+    objectives: StackedProblem
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -102,9 +103,8 @@ def _check_finite(x: np.ndarray, k: int) -> None:
         raise DivergenceError(k)
 
 
-def _default_z0(objectives, z0) -> np.ndarray:
-    n = len(objectives)
-    p = objectives[0].dim
+def _default_z0(problem: StackedProblem, z0) -> np.ndarray:
+    n, p = problem.n, problem.dim
     if z0 is None:
         return np.zeros((n, p))
     z0 = np.asarray(z0, dtype=float)
@@ -115,12 +115,12 @@ def _default_z0(objectives, z0) -> np.ndarray:
 
 def addopt_init(objectives, z0=None) -> AgentSwarm:
     """Start state: x = z0, unit de-biasing scalars, tracker seeded with grad(z0)."""
-    objectives = tuple(objectives)
-    x = _default_z0(objectives, z0)
-    y = np.ones(len(objectives))
+    problem = stack(objectives)
+    x = _default_z0(problem, z0)
+    y = np.ones(problem.n)
     z = x.copy()
-    grad = stacked_gradient(objectives, z)
-    return AgentSwarm(objectives, x, y, z, grad.copy(), grad, k=0)
+    grad = stacked_gradient(problem, z)
+    return AgentSwarm(problem, x, y, z, grad.copy(), grad, k=0)
 
 
 def addopt_step(s: AgentSwarm, weights: WeightMatrix, alpha: float) -> AgentSwarm:
@@ -147,17 +147,17 @@ def dextra_init(
     objectives, weights: WeightMatrix, alpha: float, z0=None
 ) -> AgentSwarm:
     """Bootstrap the two-step engine with one tracked-style step from z0."""
-    objectives = tuple(objectives)
-    x0 = _default_z0(objectives, z0)
-    y0 = np.ones(len(objectives))
-    grad0 = stacked_gradient(objectives, x0)
+    problem = stack(objectives)
+    x0 = _default_z0(problem, z0)
+    y0 = np.ones(problem.n)
+    grad0 = stacked_gradient(problem, x0)
     a = weights.entries
     x1 = a @ x0 - alpha * grad0
     _check_finite(x1, 1)
     y1 = a @ y0
     z1 = x1 / y1[:, None]
     return AgentSwarm(
-        objectives, x1, y1, z1, w=None, grad=None, k=1, x_prev=x0, grad_prev=grad0
+        problem, x1, y1, z1, w=None, grad=None, k=1, x_prev=x0, grad_prev=grad0
     )
 
 
@@ -180,10 +180,10 @@ def dextra_step(
 
 
 def gradient_push_init(objectives, z0=None) -> AgentSwarm:
-    objectives = tuple(objectives)
-    x = _default_z0(objectives, z0)
-    y = np.ones(len(objectives))
-    return AgentSwarm(objectives, x, y, x.copy(), w=None, grad=None, k=0)
+    problem = stack(objectives)
+    x = _default_z0(problem, z0)
+    y = np.ones(problem.n)
+    return AgentSwarm(problem, x, y, x.copy(), w=None, grad=None, k=0)
 
 
 def gradient_push_step(
@@ -266,11 +266,11 @@ def run(
     algorithm = _ALIASES.get(algorithm, algorithm)
     if algorithm not in _ENGINES:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {_ENGINES}")
-    objectives = tuple(objectives)
+    problem = stack(objectives)
     if z_star is None:
         from .objectives import centralized_solve
 
-        z_star = centralized_solve(objectives).z_star
+        z_star = centralized_solve(problem).z_star
     if pi is None:
         from .digraph import perron_limit
 
@@ -289,23 +289,23 @@ def run(
     if algorithm != "gradient_push" and (callable(alpha) or isinstance(alpha, str)):
         raise ValueError(f"{algorithm} requires a constant step size")
 
-    n = len(objectives)
+    n = problem.n
     y_inf = n * pi
     target = np.tile(z_star, (n, 1))
 
     if algorithm == "addopt":
-        swarm = addopt_init(objectives, z0)
+        swarm = addopt_init(problem, z0)
         stepper = lambda s, k: addopt_step(s, weights, alpha_fn(k))
     elif algorithm == "dextra":
         tilde = dextra_tilde(weights, theta)
-        swarm = gradient_push_init(objectives, z0)  # record the k=0 state too
+        swarm = gradient_push_init(problem, z0)  # record the k=0 state too
         stepper = lambda s, k: (
             dextra_init(s.objectives, weights, alpha_fn(k), z0=s.x)
             if s.k == 0
             else dextra_step(s, weights, tilde, alpha_fn(k))
         )
     else:
-        swarm = gradient_push_init(objectives, z0)
+        swarm = gradient_push_init(problem, z0)
         stepper = lambda s, k: gradient_push_step(s, weights, alpha_fn(k))
 
     denom = float(np.linalg.norm(swarm.z - target))

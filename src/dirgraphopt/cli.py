@@ -104,6 +104,9 @@ def _cmd_analyze(args) -> int:
     sweep = experiments.parse_alpha(args.sweep) if args.sweep else None
     if sweep is not None and not isinstance(sweep, tuple):
         raise experiments.ConfigError(f"--sweep needs lo:hi:steps, got {args.sweep!r}")
+    alpha = experiments.parse_alpha(args.alpha) if args.alpha is not None else None
+    if alpha is not None and not isinstance(alpha, float):
+        raise experiments.ConfigError(f"--alpha needs a constant step, got {args.alpha!r}")
     g = _load_graph_arg(args.graph)
     if args.n is not None and args.n != g.n:
         raise experiments.ConfigError(
@@ -115,8 +118,8 @@ def _cmd_analyze(args) -> int:
     print(f"# alpha_bar = {bound!r}")
     if sweep:
         grid = np.linspace(*sweep[1:])
-    elif args.alpha is not None:
-        grid = [args.alpha]
+    elif alpha is not None:
+        grid = [alpha]
     else:
         grid = np.linspace(bound / 20.0, bound, 20)
     print("alpha,rho")
@@ -205,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--l", type=float, required=True)
     p_an.add_argument("--s", type=float, required=True)
     p_an.add_argument("--n", type=int, default=None)
-    p_an.add_argument("--alpha", type=float, default=None)
+    p_an.add_argument("--alpha", default=None, help="constant step size")
     p_an.add_argument("--sweep", help="lo:hi:steps")
     p_an.add_argument("--slack", type=float, default=None)
     p_an.set_defaults(fn=_cmd_analyze)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,8 +83,23 @@ class ExperimentConfig:
         return None
 
 
+def _spec_number(part: str, spec: str) -> float:
+    try:
+        value = float(part)
+    except ValueError:
+        raise ConfigError(f"sweep spec {spec!r}: {part!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"sweep spec {spec!r}: {part!r} is not finite")
+    return value
+
+
 def parse_alpha(text: str):
-    """Parse a step-size spec: a constant, ``1/sqrt(k)`` or ``lo:hi:steps``."""
+    """Parse a step-size spec: a constant, ``1/sqrt(k)`` or ``lo:hi:steps``.
+
+    A constant must be finite and non-negative (zero runs pure consensus);
+    a sweep needs finite ``0 < lo <= hi`` and an integer ``steps >= 1``.
+    Anything else raises :class:`ConfigError` naming the spec.
+    """
     text = text.strip()
     if text.replace(" ", "") == "1/sqrt(k)":
         return "1/sqrt(k)"
@@ -91,14 +107,23 @@ def parse_alpha(text: str):
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"sweep spec must be lo:hi:steps, got {text!r}")
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi = _spec_number(parts[0], text), _spec_number(parts[1], text)
+        try:
+            steps = int(parts[2])
+        except ValueError:
+            raise ConfigError(
+                f"sweep spec {text!r}: steps {parts[2]!r} is not an integer"
+            ) from None
         if steps < 1 or not 0 < lo <= hi:
             raise ConfigError(f"sweep range {text!r} is empty or inverted")
         return ("sweep", lo, hi, steps)
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"cannot parse step size {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"step size {text!r} must be finite and non-negative")
+    return value
 
 
 def _parse_graph(section) -> tuple:

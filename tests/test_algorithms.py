@@ -383,3 +383,33 @@ def test_trace_csv_baseline_tracking_is_nan(tmp_path, ring4, quad4):
     write_trace_csv(trace, path)
     cols = read_trace_csv(path)
     assert np.all(np.isnan(cols["tracking_err"]))
+
+
+def test_engines_and_reference_solve_never_call_per_agent_gradients(
+    monkeypatch, fig1_weights, canonical_objs
+):
+    quads = quadratic_set(10, 2, seed=3)
+    expected = {
+        name: [run(alg, fig1_weights, objs, 0.05, 40, 0.0) for alg in algorithms._ENGINES]
+        for name, objs in (("logistic", canonical_objs), ("quadratic", quads))
+    }
+
+    def per_agent(self, z):
+        raise AssertionError("per-agent gradient on the hot path")
+
+    monkeypatch.setattr(objectives.Logistic, "gradient", per_agent)
+    monkeypatch.setattr(objectives.Quadratic, "gradient", per_agent)
+    for name, objs in (("logistic", canonical_objs), ("quadratic", quads)):
+        assert objectives.centralized_solve(objs).converged
+        for alg, before in zip(algorithms._ENGINES, expected[name]):
+            # z_star is left to run(), so the reference solve runs here too
+            trace = run(alg, fig1_weights, objs, 0.05, 40, 0.0)
+            assert trace.residual.tobytes() == before.residual.tobytes()
+
+
+def test_swarm_holds_the_stacked_problem(ring4, quad4):
+    for swarm in (addopt_init(quad4), gradient_push_init(quad4)):
+        assert isinstance(swarm.objectives, objectives.StackedQuadratic)
+        assert swarm.objectives.agents == quad4
+    problem = objectives.stack(quad4)
+    assert dextra_init(problem, ring4, 0.05).objectives is problem

@@ -93,6 +93,33 @@ def test_data_gen_and_solve_roundtrip(capsys, tmp_path):
     assert float(lines["residual_norm"]) < 1e-9
 
 
+def test_data_solve_unequal_example_counts_is_pinned(capsys, tmp_path):
+    # two agents holding 2 and 1 examples; the output was recorded before the
+    # gradients were batched and must not move by a bit
+    path = tmp_path / "two.csv"
+    path.write_text("agent,label,f1,f2\n0,1,0.5,-1.0\n0,-1,1.5,0.25\n1,1,-0.3,0.8\n")
+    code, out, _ = run_cli(capsys, "data", "solve", "--data", str(path))
+    assert code == 0
+    assert out == (
+        "z_star = -0.4100451141082118,-0.18508381987683745\n"
+        "f_star = 1.926295923860157\n"
+        "residual_norm = 6.189334170187779e-13\n"
+        "converged = True\n"
+    )
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,-1,1.5", "line 3: expected 4 fields, got 3"),
+    ("0,-1,x,0.25", "line 3: could not convert string to float: 'x'"),
+])
+def test_data_solve_bad_row_names_file_and_line(capsys, tmp_path, row, message):
+    path = tmp_path / "d.csv"
+    path.write_text(f"agent,label,f1,f2\n0,1,0.5,-1.0\n{row}\n")
+    code, out, err = run_cli(capsys, "data", "solve", "--data", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path} {message}\n"
+
+
 def test_data_solve_malformed_csv(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("who,what\n1,2\n")
@@ -413,6 +440,45 @@ def test_analyze_sweep_spec_errors_match_the_config(capsys, spec, message):
     )
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("0.1:x:3", "sweep spec '0.1:x:3': 'x' is not a number"),
+    ("0.1:1:2.5", "sweep spec '0.1:1:2.5': steps '2.5' is not an integer"),
+])
+def test_analyze_sweep_spec_errors_name_the_spec(capsys, spec, message):
+    code, out, err = run_cli(
+        capsys, "analyze", "--graph", "fig1", "--l", "1.0", "--s", "1.0",
+        "--sweep", spec,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ("nan", "step size 'nan' must be finite and non-negative"),
+    ("-1", "step size '-1' must be finite and non-negative"),
+    ("0.1:0.2:3", "--alpha needs a constant step, got '0.1:0.2:3'"),
+])
+def test_analyze_rejects_a_bad_single_step(capsys, alpha, message):
+    code, out, err = run_cli(
+        capsys, "analyze", "--graph", "fig1", "--l", "1.0", "--s", "0.1",
+        "--alpha", alpha,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("alpha", ["-0.05", "nan", "inf"])
+def test_run_rejects_negative_or_non_finite_step(capsys, tmp_path, alpha):
+    out_csv = tmp_path / "trace.csv"
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "addopt", "--graph", "fig1",
+        "--alpha", alpha, "--iters", "20", "--out", str(out_csv),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: step size '{alpha}' must be finite and non-negative\n"
+    assert not out_csv.exists()
 
 
 def test_run_accepts_spaced_diminishing_rule(capsys, tmp_path):

@@ -17,6 +17,7 @@ from dirgraphopt.experiments import (
     cmd_sparsity_study,
     cmd_stepsize_study,
     load_config,
+    parse_alpha,
     resolve_graph,
 )
 
@@ -164,6 +165,31 @@ def test_load_config_alpha_errors(tmp_path):
         path.write_text(f"[run]\nalpha = {text}\n")
         with pytest.raises(ConfigError, match=msg):
             load_config(path)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("0.1:x:3", "sweep spec '0.1:x:3': 'x' is not a number"),
+    ("lo:1:3", "sweep spec 'lo:1:3': 'lo' is not a number"),
+    ("0.1:inf:3", "sweep spec '0.1:inf:3': 'inf' is not finite"),
+    ("0.1:1:2.5", "sweep spec '0.1:1:2.5': steps '2.5' is not an integer"),
+    ("0.1:1:", "sweep spec '0.1:1:': steps '' is not an integer"),
+    ("-0.05", "step size '-0.05' must be finite and non-negative"),
+    ("nan", "step size 'nan' must be finite and non-negative"),
+    ("inf", "step size 'inf' must be finite and non-negative"),
+])
+def test_parse_alpha_errors_name_the_spec(tmp_path, spec, message):
+    with pytest.raises(ConfigError) as info:
+        parse_alpha(spec)
+    assert str(info.value) == message
+    path = tmp_path / "a.ini"
+    path.write_text(f"[run]\nalpha = {spec}\n")
+    with pytest.raises(ConfigError, match="must be finite|not a number|not finite|not an integer"):
+        load_config(path)
+
+
+def test_parse_alpha_keeps_a_zero_step():
+    assert parse_alpha("0") == 0.0
+    assert parse_alpha(" 0.0 ") == 0.0
 
 
 def test_load_config_graph_file_checked(tmp_path):

@@ -20,6 +20,7 @@ from dirgraphopt.objectives import (
     network_constants,
     quadratic_objective,
     save_dataset_csv,
+    stack,
     stacked_gradient,
     total_gradient,
     total_value,
@@ -251,6 +252,21 @@ def test_dataset_csv_rejects_gaps(tmp_path):
         load_dataset_csv(path)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("0,1,0.5,1.0\n0,-1,0.25\n", "line 3: expected 4 fields, got 3"),
+    ("0,1,0.5,1.0\n\n1,1,x,2.0\n", "line 4: could not convert string to float: 'x'"),
+    ("0,1,0.5,1.0\nb,1,0.5,1.0\n", "line 3: invalid literal for int"),
+    ("0,1,0.5,1.0,7\n", "line 2: expected 4 fields, got 5"),
+    ("0,1,0.5,1.0\n1,0,0.5,1.0\n", "line 3: label must be +/-1, got '0'"),
+])
+def test_dataset_csv_errors_name_the_file_and_line(tmp_path, body, message):
+    path = tmp_path / "d.csv"
+    path.write_text("agent,label,f1,f2\n" + body)
+    with pytest.raises(ValueError) as info:
+        load_dataset_csv(path)
+    assert str(info.value).startswith(f"{path} {message}")
+
+
 def test_dataset_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("node,y,f1\n0,1,0.5\n")
@@ -335,3 +351,103 @@ def test_gradient_step_contracts_below_curvature_ratio():
             moved = z - alpha * total_gradient(objs, z)
             lhs = np.linalg.norm(moved - opt.z_star)
             assert lhs <= factor * np.linalg.norm(z - opt.z_star) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the stacked problem: batched gradients keep the per-agent bits
+# ---------------------------------------------------------------------------
+
+
+def per_agent_rows(objs, z_rows):
+    return np.array([o.gradient(z) for o, z in zip(objs, z_rows)])
+
+
+def sequential_sum(objs, z):
+    out = np.zeros(objs[0].dim)
+    for o in objs:
+        out += o.gradient(z)
+    return out
+
+
+def assert_bit_equal_to_per_agent(objs, seed, points=20):
+    problem = stack(objs)
+    n, p = problem.n, problem.dim
+    rng = np.random.default_rng(seed)
+    for _ in range(points):
+        scale = 10.0 ** rng.uniform(-3, 2)
+        z_rows = scale * rng.standard_normal((n, p))
+        got = stacked_gradient(problem, z_rows)
+        assert got.tobytes() == per_agent_rows(objs, z_rows).tobytes()
+        z = z_rows[0]
+        assert total_gradient(problem, z).tobytes() == sequential_sum(objs, z).tobytes()
+
+
+@pytest.mark.parametrize("n, p", [(10, 3), (200, 3), (10, 1), (37, 2)])
+def test_stacked_logistic_gradient_is_bit_equal(n, p):
+    objs = logistic_objective(generate_dataset(n, 10, p, seed=n + p, reg=20.0))
+    assert len(stack(objs).groups) == 1
+    assert_bit_equal_to_per_agent(objs, seed=n)
+
+
+def unequal_count_data(counts, p, seed):
+    rng = np.random.default_rng(seed)
+    features = tuple(rng.standard_normal((m, p)) for m in counts)
+    labels = tuple(rng.choice([-1.0, 1.0], m) for m in counts)
+    return LogisticData(features, labels, reg=1.0)
+
+
+def test_stacked_logistic_groups_agents_by_example_count():
+    counts = (2, 1, 2, 3, 1, 1, 5, 2)
+    objs = logistic_objective(unequal_count_data(counts, 3, seed=4))
+    problem = stack(objs)
+    rows = {g.features.shape[1]: np.arange(len(counts))[g.rows] for g in problem.groups}
+    assert sorted(rows) == [1, 2, 3, 5]
+    np.testing.assert_array_equal(rows[1], [1, 4, 5])
+    np.testing.assert_array_equal(rows[2], [0, 2, 7])
+    assert_bit_equal_to_per_agent(objs, seed=5)
+    for p in (1, 2):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            counts = tuple(int(m) for m in rng.integers(1, 6, size=12))
+            assert_bit_equal_to_per_agent(
+                logistic_objective(unequal_count_data(counts, p, seed)), seed, points=5
+            )
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_stacked_quadratic_gradient_is_bit_equal(p):
+    rng = np.random.default_rng(p)
+    objs = tuple(
+        quadratic_objective(rng.standard_normal(p), rng.uniform(0.5, 2.0, p))
+        for _ in range(25)
+    )
+    assert_bit_equal_to_per_agent(objs, seed=p)
+
+
+def test_total_gradient_keeps_the_running_sums_positive_zero():
+    objs = tuple(quadratic_objective([0.0], [q]) for q in (1.0, 2.0, 3.0))
+    z = np.array([-0.0])
+    assert per_agent_rows(objs, [z] * 3).tobytes() == np.full((3, 1), -0.0).tobytes()
+    assert total_gradient(objs, z).tobytes() == sequential_sum(objs, z).tobytes()
+
+
+def test_stack_returns_a_stacked_problem_unchanged(canonical_objs):
+    problem = stack(canonical_objs)
+    assert stack(problem) is problem
+    assert problem.agents == tuple(canonical_objs)
+    assert (problem.n, problem.dim) == (10, 3)
+
+
+def test_stack_rejects_mixed_families_naming_the_agent(canonical_objs):
+    quad = quadratic_objective([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    mixed = canonical_objs[:3] + (quad,) + canonical_objs[3:]
+    with pytest.raises(ValueError, match="agent 3 is Quadratic but agent 0 is Logistic"):
+        stack(mixed)
+
+    class Other(objectives.Objective):
+        dim = 3
+
+    with pytest.raises(ValueError, match="agent 1: cannot stack Other"):
+        stack((quad, Other()))
+    with pytest.raises(ValueError, match="agent 1 has dimension 2 but agent 0 has 3"):
+        stack((quad, quadratic_objective([0.0, 0.0], [1.0, 1.0])))
