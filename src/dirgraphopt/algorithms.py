@@ -25,6 +25,7 @@ states: row ``i`` of every array belongs to agent ``i``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +100,8 @@ class AgentSwarm:
 
 
 def _check_finite(x: np.ndarray, k: int) -> None:
-    if not np.all(np.abs(x) <= OVERFLOW_GUARD):
+    # ``max`` propagates NaN, so NaN fails the comparison like an overflow
+    if not np.abs(x).max() <= OVERFLOW_GUARD:
         raise DivergenceError(k)
 
 
@@ -241,6 +243,102 @@ class Trace:
 _ENGINES = ("addopt", "dextra", "gradient_push")
 _ALIASES = {"gp": "gradient_push"}
 
+#: the trace recorder reduces a block of steps once it holds about this many
+#: state entries per array (n * p per step), so its memory is flat in n
+_RECORD_BLOCK_ELEMENTS = 2048
+
+
+def _block_steps(n: int, p: int) -> int:
+    """Steps per trace-recorder block for ``(n, p)`` states (at least one)."""
+    return max(1, _RECORD_BLOCK_ELEMENTS // (n * p))
+
+
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each ``d[i]``, flattened.
+
+    A ``1 x N`` by ``N x 1`` matmul calls the BLAS ``ddot`` that
+    ``np.linalg.norm`` calls, so each entry is bit-equal to the norm of
+    ``d[i]`` taken on its own.
+    """
+    d = d.reshape(len(d), -1)
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
+
+
+class _Recorder:
+    """Builds the :class:`Trace` columns of one run, a block of steps at a time.
+
+    :meth:`record` computes only the residual, which ``stop_tol`` needs at
+    once, and keeps the step's ``x`` (plus ``w`` and ``grad`` when the engine
+    tracks).  When a block fills, and in :meth:`trace`, the kept states are
+    stacked and ``consensus_err``, ``tracking_err`` and ``gap`` are computed
+    for the whole block.  The means reduce each state exactly as
+    ``mean(axis=0)`` does and the norms are the same ``ddot``, so every column
+    is bit-equal to computing it step by step.
+    """
+
+    def __init__(self, target, denom, z_star, y_inf, tracked: bool, retain_states: bool):
+        n, p = target.shape
+        self.n, self.block = n, _block_steps(n, p)
+        self.target, self.denom = target, denom
+        self.z_star, self.y_inf = z_star, y_inf[:, None]
+        self.tracked = tracked
+        self.ks: list[int] = []
+        self.residual: list[float] = []
+        self.xs: list[np.ndarray] = []
+        self.ws: list[np.ndarray] = []
+        self.grads: list[np.ndarray] = []
+        self.consensus: list[np.ndarray] = []
+        self.tracking: list[np.ndarray] = []
+        self.gap: list[np.ndarray] = []
+        self.states: list[AgentSwarm] | None = [] if retain_states else None
+
+    def record(self, s: AgentSwarm) -> float:
+        """Keep step ``s`` and return its residual."""
+        d = (s.z - self.target).ravel()
+        res = math.sqrt(d.dot(d)) / self.denom
+        self.ks.append(s.k)
+        self.residual.append(res)
+        self.xs.append(s.x)
+        if self.tracked:
+            self.ws.append(s.w)
+            self.grads.append(s.grad)
+        if self.states is not None:
+            self.states.append(s)
+        if len(self.xs) == self.block:
+            self._flush()
+        return res
+
+    def _flush(self) -> None:
+        if not self.xs:
+            return
+        x = np.array(self.xs)
+        xbar = x.sum(axis=1) / self.n
+        self.consensus.append(_row_norms(x - self.y_inf * xbar[:, None, :]))
+        if self.tracked:
+            gbar = np.array(self.grads).sum(axis=1) / self.n
+            w = np.array(self.ws)
+            self.tracking.append(_row_norms(w - self.y_inf * gbar[:, None, :]))
+        else:
+            self.tracking.append(np.full(len(self.xs), np.nan))
+        self.gap.append(np.sqrt(self.n) * _row_norms(xbar - self.z_star))
+        self.xs.clear()
+        self.ws.clear()
+        self.grads.clear()
+
+    def trace(self, algorithm: str, alpha_label: str) -> Trace:
+        self._flush()
+        return Trace(
+            algorithm=algorithm,
+            alpha_label=alpha_label,
+            z_star=self.z_star,
+            ks=np.array(self.ks),
+            residual=np.array(self.residual),
+            consensus_err=np.concatenate(self.consensus),
+            tracking_err=np.concatenate(self.tracking),
+            gap=np.concatenate(self.gap),
+            states=self.states,
+        )
+
 
 def run(
     algorithm: str,
@@ -262,10 +360,14 @@ def run(
     accepts a callable ``k -> alpha_k`` or the string ``"1/sqrt(k)"``.
     Residuals are measured against ``z_star`` (computed by the centralized
     solver when not supplied).  Deterministic: same inputs, same trace.
+    ``max_iters = 0`` records the start state only; a negative count raises
+    ``ValueError``.
     """
     algorithm = _ALIASES.get(algorithm, algorithm)
     if algorithm not in _ENGINES:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {_ENGINES}")
+    if max_iters < 0:
+        raise ValueError(f"iteration count must be non-negative, got {max_iters}")
     problem = stack(objectives)
     if z_star is None:
         from .objectives import centralized_solve
@@ -290,7 +392,6 @@ def run(
         raise ValueError(f"{algorithm} requires a constant step size")
 
     n = problem.n
-    y_inf = n * pi
     target = np.tile(z_star, (n, 1))
 
     if algorithm == "addopt":
@@ -311,50 +412,21 @@ def run(
     denom = float(np.linalg.norm(swarm.z - target))
     if denom == 0.0:
         denom = 1.0
+    recorder = _Recorder(
+        target, denom, z_star, n * pi, algorithm == "addopt", retain_states
+    )
 
-    ks, residual, consensus, tracking, gap = [], [], [], [], []
-    states: list[AgentSwarm] | None = [] if retain_states else None
-
-    def record(s: AgentSwarm) -> float:
-        res = float(np.linalg.norm(s.z - target)) / denom
-        xbar = s.x.mean(axis=0)
-        ks.append(s.k)
-        residual.append(res)
-        consensus.append(float(np.linalg.norm(s.x - np.outer(y_inf, xbar))))
-        if s.w is not None and s.grad is not None:
-            gbar = s.grad.mean(axis=0)
-            tracking.append(float(np.linalg.norm(s.w - np.outer(y_inf, gbar))))
-        else:
-            tracking.append(float("nan"))
-        gap.append(np.sqrt(n) * float(np.linalg.norm(xbar - z_star)))
-        if states is not None:
-            states.append(s)
-        return res
-
-    def trace() -> Trace:
-        return Trace(
-            algorithm=algorithm,
-            alpha_label=alpha_label,
-            z_star=z_star,
-            ks=np.array(ks),
-            residual=np.array(residual),
-            consensus_err=np.array(consensus),
-            tracking_err=np.array(tracking),
-            gap=np.array(gap),
-            states=states,
-        )
-
-    res = record(swarm)
+    res = recorder.record(swarm)
     for k in range(1, max_iters + 1):
         if res <= stop_tol:
             break
         try:
             swarm = stepper(swarm, k)
         except DivergenceError as exc:
-            exc.trace = trace()
+            exc.trace = recorder.trace(algorithm, alpha_label)
             raise
-        res = record(swarm)
-    return trace()
+        res = recorder.record(swarm)
+    return recorder.trace(algorithm, alpha_label)
 
 
 def write_trace_csv(trace: Trace, path) -> None:

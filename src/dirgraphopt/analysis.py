@@ -184,8 +184,13 @@ def alpha_unit_crossing(profile: ConvergenceProfile) -> float:
     Setting ``q = 1`` in ``det(q I - G(alpha)) = 0`` (with the small-step
     branch ``eta = 1 - n alpha s``) reduces to a quadratic in alpha with
     exactly one positive root, evaluated here in its cancellation-free form.
+    On a 1-node graph ``eps = 0``, the quadratic degenerates to
+    ``const = 0`` and has no root; the result is then ``inf``, which leaves
+    the ``1/(n l)`` cap of :func:`alpha_upper_bound` in force.
     """
     p = profile
+    if p.eps == 0.0:
+        return math.inf
     quad = p.c * p.d * p.eps * p.l**2 * p.y * p.y_minus**2 * (p.l + p.n * p.s)
     lin = p.n * p.s * p.c * p.d * p.eps * p.l * p.y_minus * (1.0 - p.sigma + p.tau)
     const = p.n * p.s * (1.0 - p.sigma) ** 2

@@ -74,6 +74,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown algorithm {a!r}")
         if len(set(names)) != len(names):
             raise ConfigError(f"algorithm list has duplicates: {self.algorithms}")
+        if self.iters < 0:
+            raise ConfigError(f"iters must be non-negative, got {self.iters}")
         object.__setattr__(self, "algorithms", names)
 
     @property

@@ -9,6 +9,7 @@ import pytest
 
 from dirgraphopt import algorithms, digraph, objectives
 from dirgraphopt.algorithms import (
+    OVERFLOW_GUARD,
     DivergenceError,
     addopt_init,
     addopt_step,
@@ -413,3 +414,155 @@ def test_swarm_holds_the_stacked_problem(ring4, quad4):
         assert swarm.objectives.agents == quad4
     problem = objectives.stack(quad4)
     assert dextra_init(problem, ring4, 0.05).objectives is problem
+
+
+# ---------------------------------------------------------------------------
+# block trace recorder: bit-equal to the per-step recorder it replaced
+# ---------------------------------------------------------------------------
+
+COLUMNS = ("ks", "residual", "consensus_err", "tracking_err", "gap")
+BLOCK_ALPHAS = {"addopt": 0.02, "dextra": 0.2, "gradient_push": "1/sqrt(k)"}
+
+
+def per_step_columns(states, z_star, pi):
+    """The five trace columns, recorded one state at a time.
+
+    This is the per-step recorder that ``run`` used before it reduced blocks
+    of steps; ``run`` must reproduce its bytes.
+    """
+    n = states[0].n
+    y_inf = n * pi
+    target = np.tile(z_star, (n, 1))
+    denom = float(np.linalg.norm(states[0].z - target))
+    if denom == 0.0:
+        denom = 1.0
+    cols = {name: [] for name in COLUMNS}
+    for s in states:
+        xbar = s.x.mean(axis=0)
+        cols["ks"].append(s.k)
+        cols["residual"].append(float(np.linalg.norm(s.z - target)) / denom)
+        cols["consensus_err"].append(float(np.linalg.norm(s.x - np.outer(y_inf, xbar))))
+        if s.w is not None and s.grad is not None:
+            gbar = s.grad.mean(axis=0)
+            cols["tracking_err"].append(float(np.linalg.norm(s.w - np.outer(y_inf, gbar))))
+        else:
+            cols["tracking_err"].append(float("nan"))
+        cols["gap"].append(np.sqrt(n) * float(np.linalg.norm(xbar - z_star)))
+    return {name: np.array(values) for name, values in cols.items()}
+
+
+def assert_same_bytes(trace, expected, records):
+    assert trace.records == records
+    for name in COLUMNS:
+        assert getattr(trace, name).tobytes() == expected[name][:records].tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def block_problems():
+    """Logistic problems with their optimum and Perron vector, per (n, p)."""
+    cache = {}
+
+    def get(n, p):
+        if (n, p) not in cache:
+            if n == 1:
+                g = digraph.Digraph(1, ())
+            elif n == 10:
+                g = digraph.builtin_graph("fig1")
+            else:
+                g = digraph.random_digraph(n, 4 * n, 0)
+            w = digraph.uniform_weights(g)
+            objs = objectives.stack(objectives.logistic_objective(
+                objectives.generate_dataset(n, 10, p, seed=3, reg=1.0)))
+            pi, _ = digraph.perron_limit(w)
+            cache[n, p] = w, objs, objectives.centralized_solve(objs).z_star, pi
+        return cache[n, p]
+
+    return get
+
+
+@pytest.mark.parametrize("algorithm", ["addopt", "dextra", "gradient_push"])
+@pytest.mark.parametrize("n, p", [(1, 1), (1, 3), (10, 1), (10, 3), (200, 1), (200, 3)])
+def test_block_recorder_matches_per_step_recorder_at_block_edges(
+    block_problems, algorithm, n, p
+):
+    w, objs, z_star, pi = block_problems(n, p)
+    alpha = BLOCK_ALPHAS[algorithm]
+    block = algorithms._block_steps(n, p)
+    full = run(algorithm, w, objs, alpha, 2 * block + 1, z_star=z_star, pi=pi,
+               retain_states=True)
+    expected = per_step_columns(full.states, z_star, pi)
+    for iters in (0, block - 1, block, block + 1, 2 * block + 1):
+        trace = run(algorithm, w, objs, alpha, iters, z_star=z_star, pi=pi)
+        assert_same_bytes(trace, expected, iters + 1)
+    # a stop_tol stop half-way into the second block
+    tol = float(expected["residual"][block + block // 2])
+    stop = int(np.argmax(expected["residual"] <= tol))
+    trace = run(algorithm, w, objs, alpha, 2 * block + 1, tol, z_star=z_star, pi=pi)
+    assert_same_bytes(trace, expected, stop + 1)
+
+
+@pytest.mark.parametrize("algorithm, step", [
+    ("addopt", "addopt_step"), ("dextra", "dextra_step"),
+    ("gradient_push", "gradient_push_step"),
+])
+@pytest.mark.parametrize("where", ["inside_block", "after_flush"])
+def test_block_recorder_divergence_keeps_the_finite_records(
+    block_problems, monkeypatch, algorithm, step, where
+):
+    w, objs, z_star, pi = block_problems(10, 3)
+    alpha = BLOCK_ALPHAS[algorithm]
+    block = algorithms._block_steps(10, 3)
+    expected = per_step_columns(
+        run(algorithm, w, objs, alpha, 2 * block + 1, z_star=z_star, pi=pi,
+            retain_states=True).states, z_star, pi)
+    # the first block holds k = 0 .. block-1, so step k = block is the first
+    # one after a flush
+    at = block if where == "after_flush" else block + block // 2
+    engine_step = getattr(algorithms, step)
+
+    def diverging_step(s, *args):
+        if s.k + 1 == at:
+            raise DivergenceError(at)
+        return engine_step(s, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(algorithms, step, diverging_step)
+        with pytest.raises(DivergenceError) as exc_info:
+            run(algorithm, w, objs, alpha, 2 * block + 1, z_star=z_star, pi=pi)
+    exc = exc_info.value
+    assert exc.iteration == at
+    assert_same_bytes(exc.trace, expected, at)
+    again = run(algorithm, w, objs, alpha, exc.iteration - 1, z_star=z_star, pi=pi)
+    assert_same_bytes(again, expected, at)
+
+
+def test_block_recorder_keeps_memory_flat_in_n():
+    assert algorithms._block_steps(10, 3) > 1
+    assert algorithms._block_steps(10_000, 3) == 1
+    for n, p in ((1, 1), (10, 3), (200, 3), (1000, 3)):
+        steps = algorithms._block_steps(n, p)
+        assert steps == 1 or steps * n * p <= algorithms._RECORD_BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("value", [
+    np.nan, np.inf, -np.inf, OVERFLOW_GUARD * (1 + 2**-52),
+    -OVERFLOW_GUARD * (1 + 2**-52),
+])
+def test_check_finite_raises_past_the_guard(value):
+    x = np.zeros((4, 3))
+    x[2, 1] = value
+    with pytest.raises(DivergenceError) as exc_info:
+        algorithms._check_finite(x, 7)
+    assert exc_info.value.iteration == 7
+
+
+def test_check_finite_accepts_the_guard_itself():
+    x = np.full((4, 3), OVERFLOW_GUARD)
+    x[0, 0] = -OVERFLOW_GUARD
+    algorithms._check_finite(x, 1)
+
+
+def test_run_rejects_a_negative_iteration_count(ring4, quad4):
+    with pytest.raises(ValueError, match="non-negative, got -3"):
+        run("addopt", ring4, quad4, 0.05, -3)
+    assert run("addopt", ring4, quad4, 0.05, 0).records == 1

@@ -184,6 +184,27 @@ def test_run_divergence_exit_code(capsys, tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_run_rejects_a_negative_iteration_count(capsys, tmp_path):
+    out_csv = tmp_path / "t.csv"
+    code, _, err = run_cli(
+        capsys, "run", "--alg", "addopt", "--graph", "fig1",
+        "--alpha", "0.04", "--iters", "-3", "--out", str(out_csv),
+    )
+    assert code == 2 and "error:" in err and "-3" in err
+    assert not out_csv.exists()
+
+
+def test_run_zero_iterations_writes_the_start_record(capsys, tmp_path):
+    out_csv = tmp_path / "t.csv"
+    code, out, _ = run_cli(
+        capsys, "run", "--alg", "addopt", "--graph", "fig1",
+        "--alpha", "0.04", "--iters", "0", "--out", str(out_csv),
+    )
+    assert code == 0 and "1 records" in out
+    lines = out_csv.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0,1.0,")
+
+
 def test_run_with_explicit_dataset_checks_agent_count(capsys, tmp_path):
     data_csv = tmp_path / "data.csv"
     run_cli(capsys, "data", "gen", "--n", "4", "--out", str(data_csv))
@@ -276,6 +297,18 @@ def test_analyze_node_count_mismatch(capsys):
         "--n", "12",
     )
     assert code == 2 and "does not match" in err
+
+
+def test_analyze_one_node_graph_applies_the_cap(capsys, tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text("1\n")
+    code, out, err = run_cli(
+        capsys, "analyze", "--graph", str(path), "--l", "1", "--s", "1",
+    )
+    assert code == 0 and err == ""
+    bound, rows = parse_analyze(out)
+    assert bound == 1.0  # the 1/(n l) cap
+    assert len(rows) == 20 and all(0.0 <= rho < 1.0 for _, rho in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +425,21 @@ dir = {tmp_path / "out"}
     assert code == 0
     assert "chain0" in out and "chain1" in out
     assert (tmp_path / "out" / "study_sparsity.csv").exists()
+
+
+def test_study_config_rejects_a_negative_iteration_count(capsys, tmp_path):
+    cfg = write_config(tmp_path, "neg.ini", f"""
+[run]
+algorithms = addopt
+alpha = 0.04
+iters = -3
+
+[output]
+dir = {tmp_path}
+""")
+    code, _, err = run_cli(capsys, "compare", "--config", cfg)
+    assert code == 2 and "iters must be non-negative, got -3" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_missing_config_is_usage_error(capsys, tmp_path):

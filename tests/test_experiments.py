@@ -141,6 +141,12 @@ def test_load_config_duplicate_algorithms(tmp_path):
         load_config(path)
 
 
+def test_config_rejects_a_negative_iteration_count(tmp_path):
+    with pytest.raises(ConfigError, match="non-negative, got -1"):
+        make_config(tmp_path, iters=-1)
+    assert make_config(tmp_path, iters=0).iters == 0
+
+
 def test_load_config_alpha_forms(tmp_path):
     for text, expected in (
         ("0.25", 0.25),
