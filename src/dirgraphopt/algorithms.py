@@ -376,7 +376,7 @@ def run(
     if pi is None:
         from .digraph import perron_limit
 
-        pi, _ = perron_limit(weights)
+        pi = perron_limit(weights)
 
     if callable(alpha):
         alpha_fn = alpha

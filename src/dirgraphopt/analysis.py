@@ -9,8 +9,9 @@ by a linear recursion ``t_k <= G(alpha) t_{k-1} + H_{k-1} s_{k-1}`` with a
 nonnegative 3x3 matrix ``G(alpha)`` built from graph and objective
 constants, and a vanishing correction ``H_k`` driven by the geometric decay
 of the de-biasing scalars.  This module builds ``G``/``H``, computes the
-closed-form step-size ceiling below which ``rho(G) < 1``, fits the decay
-envelope empirically, and verifies the recursion on recorded trajectories.
+closed-form step-size ceiling below which ``rho(G) < 1``, gives the
+certified decay envelope of the de-biasing scalars in closed form, and
+verifies the recursion on recorded trajectories.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ __all__ = [
     "spectral_radius",
     "alpha_unit_crossing",
     "alpha_upper_bound",
-    "alpha_estimate",
     "optimal_alpha",
     "t_vector",
-    "fit_push_sum_envelope",
+    "push_sum_envelope",
     "verify_key_relation",
     "fit_log_linear",
     "residual_slope",
@@ -82,10 +82,7 @@ class ConvergenceProfile:
 
 
 def push_sum_extremes(
-    weights: WeightMatrix,
-    pi: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iters: int = 200_000,
+    weights: WeightMatrix, tol: float = 1e-12, max_iters: int = 200_000
 ) -> tuple[float, float]:
     """Suprema of the de-biasing scalars and their inverses over all k.
 
@@ -93,9 +90,7 @@ def push_sum_extremes(
     ``max_i y_i`` and ``1 / min_i y_i`` until y is within ``tol`` of its
     limit ``n pi``; the limit values are folded into the maxima.
     """
-    if pi is None:
-        pi, _ = perron_limit(weights)
-    limit = weights.n * pi
+    limit = weights.n * perron_limit(weights)
     y = np.ones(weights.n)
     hi = 1.0
     lo_inv = 1.0
@@ -113,7 +108,7 @@ def build_profile(
 ) -> ConvergenceProfile:
     """Assemble the full constant profile of a mixing matrix and curvature pair."""
     spec = spectral_data(weights, slack)
-    y, y_minus = push_sum_extremes(weights, spec.pi)
+    y, y_minus = push_sum_extremes(weights)
     return ConvergenceProfile(
         n=weights.n,
         l=l,
@@ -160,7 +155,8 @@ def build_H(
 ) -> np.ndarray:
     """Vanishing correction matrix at iteration ``k`` (geometric in ``gamma1``)."""
     p = profile
-    decay = big_t * gamma1 ** (k - 1)
+    # gamma1 = sigma is 0 on one node and on complete graphs, where big_t = 0
+    decay = big_t * gamma1 ** (k - 1) if big_t else 0.0
     return np.array(
         [
             [0.0, 0.0, 0.0],
@@ -202,15 +198,6 @@ def alpha_upper_bound(profile: ConvergenceProfile) -> float:
     return min(alpha_unit_crossing(profile), 1.0 / (profile.n * profile.l))
 
 
-def alpha_estimate(profile: ConvergenceProfile) -> float:
-    """Back-of-envelope ceiling, valid when the linear term of the crossing
-    quadratic is dominated: ``sqrt(s (1-sigma)^2 / (eps y y_minus^2 (l+s) l^2))``."""
-    p = profile
-    return math.sqrt(
-        p.s * (1.0 - p.sigma) ** 2 / (p.eps * p.y * p.y_minus**2 * (p.l + p.s) * p.l**2)
-    )
-
-
 def optimal_alpha(
     profile: ConvergenceProfile, grid
 ) -> tuple[float, float]:
@@ -244,42 +231,16 @@ def t_vector(
     )
 
 
-def fit_push_sum_envelope(
-    weights: WeightMatrix,
-    pi: np.ndarray | None = None,
-    max_iters: int = 2000,
-    floor: float = 1e-13,
-) -> tuple[float, float]:
-    """Geometric envelope ``|Y_k - Y_inf|_2 <= big_t * gamma1**k`` fit empirically.
+def push_sum_envelope(spectral: SpectralData) -> tuple[float, float]:
+    """Certified envelope ``max_i |y_k - n pi|_i <= big_t * gamma1**k``.
 
-    Least-squares on the log-deviations above ``floor`` gives ``gamma1``;
-    ``big_t`` is then inflated so the envelope dominates every sample.
-    Degenerate doubly-stochastic case (zero deviation throughout) returns
-    ``(0.5, 0.0)``.
+    The de-biasing scalars obey ``y_k - n pi = (A - A_inf)^k (1 - n pi)``,
+    and ``A - A_inf`` contracts by ``sigma`` in the norm ``|.|_S``, so
+    ``gamma1 = sigma`` and ``big_t = c d |1 - n pi|_2``.  On doubly
+    stochastic weights (and on one node) ``big_t`` is 0.
     """
-    if pi is None:
-        pi, _ = perron_limit(weights)
-    limit = weights.n * pi
-    y = np.ones(weights.n)
-    devs = []
-    for _ in range(max_iters + 1):
-        devs.append(float(np.max(np.abs(y - limit))))
-        y = weights.entries @ y
-    devs_arr = np.array(devs)
-    # The iteration stalls near the reference limit at roughly the limit's
-    # own accuracy; points past that plateau carry no rate information, so
-    # fit only the prefix that stays above it.
-    plateau = float(np.median(devs_arr[-max(10, devs_arr.size // 10):]))
-    threshold = max(floor, 2.0 * plateau)
-    below = np.nonzero(devs_arr <= threshold)[0]
-    cut = int(below[0]) if below.size else devs_arr.size
-    if cut < 2:
-        return 0.5, 0.0
-    ks = np.arange(cut, dtype=float)
-    fit = fit_log_linear(ks, devs_arr[:cut])
-    gamma1 = min(math.exp(fit.slope), 1.0 - 1e-12)
-    big_t = float(np.max(devs_arr[:cut] / gamma1**ks))
-    return gamma1, big_t
+    dev = 1.0 - spectral.n * spectral.pi
+    return spectral.sigma, spectral.c * spectral.d * float(np.linalg.norm(dev))
 
 
 @dataclass(frozen=True)

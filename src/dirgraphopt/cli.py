@@ -13,7 +13,9 @@ Subcommands::
     dirgraphopt sparsity --config FILE    graph-density study
 
 Exit status is 0 only when every requested run completed without
-divergence; a diverged run exits 1, config and usage errors exit 2.
+divergence; a diverged run exits 1, and so does a ``run`` whose final
+residual is above 1 (it ended farther from ``z*`` than it started, after
+writing its trace); config and usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -97,6 +99,10 @@ def _cmd_run(args) -> int:
     algorithms.write_trace_csv(trace, args.out)
     print(f"wrote {args.out} ({trace.records} records, final residual "
           f"{trace.final_residual:.3e})")
+    if trace.final_residual > 1.0:
+        print(f"error: final residual {trace.final_residual:.3e} is above 1: the "
+              "run ended farther from z* than it started", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -3,13 +3,14 @@
 A :class:`Digraph` is a strongly-connected-checkable directed graph on nodes
 ``0..n-1``.  Edges are ``(sender, receiver)`` pairs; every node always hears
 itself, so self-loops are implicit and never listed explicitly.  From a graph
-we build the uniform column-stochastic mixing matrix, its Perron vector and
-limit matrix, the deviation norms of the mixing step, and a weighted norm in
-which the consensus-deviation map is a strict contraction.
+we build the uniform column-stochastic mixing matrix, its Perron vector, the
+deviation norms of the mixing step, and a weighted norm in which the
+consensus-deviation map is a strict contraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,15 +168,16 @@ def uniform_weights(g: Digraph) -> WeightMatrix:
     return WeightMatrix(adj / adj.sum(axis=0))
 
 
-def perron_limit(w: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary column vector ``pi`` and the rank-one limit of mixing powers.
+def perron_limit(w: WeightMatrix) -> np.ndarray:
+    """Stationary column vector ``pi`` of the mixing matrix.
 
     One direct solve of ``(A - I) pi = 0`` in the gauge ``pi[-1] = 1``: the
     columns of ``A - I`` sum to zero, so its last row is redundant and the
     leading ``(n-1) x (n-1)`` block is nonsingular for a strongly connected
     graph.  Pinning one entry, rather than replacing a row with the
-    normalisation, keeps ``pi`` exact on doubly stochastic weights.  Returns
-    ``(pi, a_inf)`` with ``a_inf = pi @ ones.T``, ``sum(pi) == 1`` and
+    normalisation, keeps ``pi`` exact on doubly stochastic weights.  The
+    mixing powers tend to ``A_inf = pi 1^T``, so ``A - A_inf`` is
+    ``a - pi[:, None]``.  Returns ``pi`` with ``sum(pi) == 1`` and
     ``pi > 0``; raises ``ValueError`` if the solution is not positive.
     """
     a = w.entries
@@ -186,24 +188,67 @@ def perron_limit(w: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
     pi = pi / pi.sum()
     if np.any(pi <= 0):
         raise ValueError("stationary vector is not strictly positive")
-    return pi, np.outer(pi, np.ones(n))
+    return pi
 
 
-def tau_eps(w: WeightMatrix, a_inf: np.ndarray | None = None) -> tuple[float, float]:
-    """Deviation norms of one mixing step: ``(|A - I|_2, |I - A_inf|_2)``."""
-    a = w.entries
-    n = w.n
-    if a_inf is None:
-        _, a_inf = perron_limit(w)
+def _deviation_norms(a: np.ndarray, pi: np.ndarray) -> tuple[float, float]:
+    n = a.shape[0]
     tau = float(np.linalg.norm(a - np.eye(n), 2))
-    eps = float(np.linalg.norm(np.eye(n) - a_inf, 2))
+    # I - pi 1^T is a projector, so for n >= 2 its norm is that of its
+    # complement, the rank-one pi 1^T; for n = 1 it is the zero matrix
+    eps = math.sqrt(n * pi.dot(pi)) if n > 1 else 0.0
     return tau, eps
 
 
+def tau_eps(w: WeightMatrix) -> tuple[float, float]:
+    """Deviation norms of one mixing step: ``(|A - I|_2, |I - A_inf|_2)``.
+
+    ``|I - A_inf|_2`` is ``sqrt(n) |pi|_2`` in closed form (0 when n = 1).
+    """
+    return _deviation_norms(w.entries, perron_limit(w))
+
+
+def _contraction(
+    m: np.ndarray, slack: float | None
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """``(sigma, S, S^-1, d)`` for the deviation map ``m``; see contraction_norm."""
+    if slack is not None and slack <= 0:
+        raise ValueError(f"slack must be positive, got {slack}")
+    n = m.shape[0]
+    rho = float(np.max(np.abs(np.linalg.eigvals(m)))) if n > 1 else 0.0
+    if rho >= 1.0:
+        raise ValueError(
+            f"consensus-deviation spectral radius {rho:.6f} is not below 1"
+        )
+    # Keep the certified norm strictly inside the unit ball even when the
+    # requested slack would overshoot it.
+    gap = 0.5 * (1.0 - rho) if slack is None else min(slack, 0.5 * (1.0 - rho))
+    r = rho + gap
+    plain = float(np.linalg.norm(m, 2))
+    if plain <= r:
+        return plain, np.eye(n), np.eye(n), 1.0
+    p_mat = scipy.linalg.solve_discrete_lyapunov((m / r).T, np.eye(n))
+    vals, vecs = np.linalg.eigh(p_mat)
+    if not vals[0] > 0:
+        raise ValueError(
+            f"slack {slack} too small: Lyapunov solution is not positive definite"
+        )
+    # S = P^(-1/2) scaled so |S|_2 = 1: the induced matrix norm is unchanged
+    # and the norm-equivalence constant c becomes exactly 1, while
+    # d = |S^-1|_2 is the square root of P's condition number
+    s_mat = (vecs * np.sqrt(vals[0] / vals)) @ vecs.T
+    s_inv = (vecs * np.sqrt(vals / vals[0])) @ vecs.T
+    sigma = float(np.linalg.norm(s_inv @ m @ s_mat, 2))
+    if sigma > r:
+        raise ValueError(
+            f"slack {slack} too small: the computed norm exceeds rho + slack "
+            f"by {sigma - r:.3g}"
+        )
+    return sigma, s_mat, s_inv, math.sqrt(vals[-1] / vals[0])
+
+
 def contraction_norm(
-    w: WeightMatrix,
-    slack: float | None = None,
-    a_inf: np.ndarray | None = None,
+    w: WeightMatrix, slack: float | None = None
 ) -> tuple[float, np.ndarray]:
     """Weighted norm in which the consensus-deviation map strictly contracts.
 
@@ -223,41 +268,7 @@ def contraction_norm(
     Returns ``(sigma, S)`` where ``sigma = |A - A_inf|_S`` is computed in the
     returned basis and ``S`` is normalized to ``|S|_2 = 1``.
     """
-    if slack is not None and slack <= 0:
-        raise ValueError(f"slack must be positive, got {slack}")
-    a = w.entries
-    n = w.n
-    if a_inf is None:
-        _, a_inf = perron_limit(w)
-    m = a - a_inf
-    rho = float(np.max(np.abs(np.linalg.eigvals(m)))) if n > 1 else 0.0
-    if rho >= 1.0:
-        raise ValueError(
-            f"consensus-deviation spectral radius {rho:.6f} is not below 1"
-        )
-    # Keep the certified norm strictly inside the unit ball even when the
-    # requested slack would overshoot it.
-    gap = 0.5 * (1.0 - rho) if slack is None else min(slack, 0.5 * (1.0 - rho))
-    r = rho + gap
-    plain = float(np.linalg.norm(m, 2))
-    if plain <= r:
-        return plain, np.eye(n)
-    p_mat = scipy.linalg.solve_discrete_lyapunov((m / r).T, np.eye(n))
-    vals, vecs = np.linalg.eigh(p_mat)
-    if not vals[0] > 0:
-        raise ValueError(
-            f"slack {slack} too small: Lyapunov solution is not positive definite"
-        )
-    # S = P^(-1/2) scaled so |S|_2 = 1: the induced matrix norm is unchanged
-    # and the norm-equivalence constant c becomes exactly 1
-    s_mat = (vecs * np.sqrt(vals[0] / vals)) @ vecs.T
-    s_inv = (vecs * np.sqrt(vals / vals[0])) @ vecs.T
-    sigma = float(np.linalg.norm(s_inv @ m @ s_mat, 2))
-    if sigma > r:
-        raise ValueError(
-            f"slack {slack} too small: the computed norm exceeds rho + slack "
-            f"by {sigma - r:.3g}"
-        )
+    sigma, s_mat, _, _ = _contraction(w.entries - perron_limit(w)[:, None], slack)
     return sigma, s_mat
 
 
@@ -267,28 +278,22 @@ class SpectralData:
 
     ``transform`` is the change of basis defining the contraction norm
     ``|v|_S = |S^-1 v|_2``; ``c`` and ``d`` are the certified equivalence
-    constants ``|v|_2 <= c |v|_S`` and ``|v|_S <= d |v|_2``.
+    constants ``|v|_2 <= c |v|_S`` and ``|v|_S <= d |v|_2``: ``c = |S|_2 = 1``
+    by normalization and ``d = |S^-1|_2``.
     """
 
     pi: np.ndarray
-    a_inf: np.ndarray
     tau: float
     eps: float
     sigma: float
+    c: float
+    d: float
     transform: np.ndarray
     transform_inv: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.pi.shape[0]
-
-    @property
-    def c(self) -> float:
-        return float(np.linalg.norm(self.transform, 2))
-
-    @property
-    def d(self) -> float:
-        return float(np.linalg.norm(self.transform_inv, 2))
 
     def vector_norm(self, v: np.ndarray) -> float:
         """Contraction norm of a vector, or of per-node rows stacked as (n, p)."""
@@ -300,18 +305,20 @@ class SpectralData:
 
 
 def spectral_data(w: WeightMatrix, slack: float | None = None) -> SpectralData:
-    """Bundle Perron limit, deviation norms and contraction norm for ``w``."""
-    pi, a_inf = perron_limit(w)
-    tau, eps = tau_eps(w, a_inf)
-    sigma, s_mat = contraction_norm(w, slack, a_inf)
+    """Every certified constant of ``w`` from one Perron solve and one
+    Lyapunov eigendecomposition (see :func:`contraction_norm`)."""
+    pi = perron_limit(w)
+    tau, eps = _deviation_norms(w.entries, pi)
+    sigma, s_mat, s_inv, d = _contraction(w.entries - pi[:, None], slack)
     return SpectralData(
         pi=pi,
-        a_inf=a_inf,
         tau=tau,
         eps=eps,
         sigma=sigma,
+        c=1.0,
+        d=d,
         transform=s_mat,
-        transform_inv=np.linalg.inv(s_mat),
+        transform_inv=s_inv,
     )
 
 

@@ -299,8 +299,7 @@ def _prepare(cfg: ExperimentConfig, graph: digraph.Digraph, seed: int) -> tuple:
     weights = digraph.uniform_weights(graph)
     objs = build_objectives(cfg, graph.n, seed=seed)
     opt = objectives.centralized_solve(objs)
-    pi, _ = digraph.perron_limit(weights)
-    return weights, objs, opt.z_star, pi
+    return weights, objs, opt.z_star, digraph.perron_limit(weights)
 
 
 def _run_lanes(

@@ -63,8 +63,7 @@ def canonical_opt(canonical_objs):
 
 @pytest.fixture(scope="session")
 def fig1_pi(fig1_weights):
-    pi, _ = digraph.perron_limit(fig1_weights)
-    return pi
+    return digraph.perron_limit(fig1_weights)
 
 
 def random_weights(n: int, extra: int, seed: int) -> digraph.WeightMatrix:

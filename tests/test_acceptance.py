@@ -220,7 +220,10 @@ def test_criterion_06_trajectory_invariants(
     )
 
 
-def test_criterion_07_per_step_error_recursion():
+def recursion_check_on_random_graphs(sigma_scale: float = 1.0) -> tuple[int, float]:
+    """Violations and worst margin of the per-step error recursion over 200
+    steps on criterion 07's five random graphs, with the certified push-sum
+    envelope; ``sigma_scale`` under-reports ``sigma`` in the certificate."""
     rng = np.random.default_rng(3)
     total_violations = 0
     worst_margin = float("inf")
@@ -239,19 +242,35 @@ def test_criterion_07_per_step_error_recursion():
             "addopt", w, objs, alpha, 200, 0.0,
             z_star=opt.z_star, pi=profile.spectral.pi, retain_states=True,
         )
-        gamma1, big_t = analysis.fit_push_sum_envelope(w, profile.spectral.pi)
+        sigma = sigma_scale * profile.sigma
+        spec = dataclasses.replace(profile.spectral, sigma=sigma)
+        profile = dataclasses.replace(profile, sigma=sigma, spectral=spec)
+        gamma1, big_t = analysis.push_sum_envelope(spec)
         report = analysis.verify_key_relation(
             trace.states, profile, opt.z_star, alpha, gamma1, big_t
         )
         total_violations += report.violations
         worst_margin = min(worst_margin, report.worst_margin)
+    return total_violations, worst_margin
+
+
+def test_criterion_07_per_step_error_recursion():
+    total_violations, worst_margin = recursion_check_on_random_graphs()
     record_acceptance(
         7,
         "per-step error recursion holds elementwise over 200 steps on 5 "
-        "random graphs with an empirically fitted scaling envelope",
+        "random graphs with the certified push-sum envelope",
         total_violations == 0,
         f"violations={total_violations}, worst margin={worst_margin:.3e}",
     )
+
+
+def test_recursion_check_catches_an_under_reported_sigma():
+    # criterion 07 must be able to fail: with sigma 10% below its certified
+    # value, the same five runs break the recursion
+    total_violations, worst_margin = recursion_check_on_random_graphs(0.9)
+    assert total_violations > 0
+    assert worst_margin < 0
 
 
 def test_criterion_08_mixing_contracts_in_constructed_norm(fig1_graph):
@@ -262,10 +281,11 @@ def test_criterion_08_mixing_contracts_in_constructed_norm(fig1_graph):
     for idx, g in enumerate(graphs):
         w = digraph.uniform_weights(g)
         spec = digraph.spectral_data(w)
+        a_inf = np.outer(spec.pi, np.ones(g.n))
         rng = np.random.default_rng(700 + idx)
         for a in rng.standard_normal((1000, g.n)):
-            mixed_off = w.entries @ a - spec.a_inf @ a
-            off = a - spec.a_inf @ a
+            mixed_off = w.entries @ a - a_inf @ a
+            off = a - a_inf @ a
             lhs = spec.vector_norm(mixed_off)
             rhs = spec.sigma * spec.vector_norm(off)
             worst_ratio = max(worst_ratio, lhs / rhs)

@@ -473,7 +473,7 @@ def block_problems():
             w = digraph.uniform_weights(g)
             objs = objectives.stack(objectives.logistic_objective(
                 objectives.generate_dataset(n, 10, p, seed=3, reg=1.0)))
-            pi, _ = digraph.perron_limit(w)
+            pi = digraph.perron_limit(w)
             cache[n, p] = w, objs, objectives.centralized_solve(objs).z_star, pi
         return cache[n, p]
 

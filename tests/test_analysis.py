@@ -12,7 +12,6 @@ from dirgraphopt import algorithms, analysis, digraph, objectives
 from dirgraphopt.algorithms import Trace, run
 from dirgraphopt.analysis import (
     ConvergenceProfile,
-    alpha_estimate,
     alpha_unit_crossing,
     alpha_upper_bound,
     build_G,
@@ -20,8 +19,8 @@ from dirgraphopt.analysis import (
     build_profile,
     eta,
     fit_log_linear,
-    fit_push_sum_envelope,
     optimal_alpha,
+    push_sum_envelope,
     push_sum_extremes,
     residual_slope,
     spectral_radius,
@@ -119,8 +118,8 @@ def test_build_profile_bundles_certified_constants(fig1_weights, fig1_profile):
 
 def test_build_profile_slack_controls_sigma(fig1_weights, canonical_objs):
     l, s = objectives.network_constants(canonical_objs)
-    pi, a_inf = digraph.perron_limit(fig1_weights)
-    rho = np.max(np.abs(np.linalg.eigvals(fig1_weights.entries - a_inf)))
+    pi = digraph.perron_limit(fig1_weights)
+    rho = np.max(np.abs(np.linalg.eigvals(fig1_weights.entries - pi[:, None])))
     tight = build_profile(fig1_weights, l, s, slack=0.01)
     assert rho <= tight.sigma <= rho + 0.01 + 1e-12
 
@@ -196,27 +195,6 @@ def test_upper_bound_caps_at_inverse_total_curvature():
                          c=1.0, d=1.0, l=0.1, s=0.1, n=2)
     assert alpha_unit_crossing(p) > 1.0 / (p.n * p.l)
     assert alpha_upper_bound(p) == 1.0 / (p.n * p.l)
-
-
-def test_back_of_envelope_estimate_rule_of_thumb():
-    # with unit norm constants, sigma = 0.9 and l = s the estimate lands at
-    # sqrt(0.005)/l, i.e. within 2x of the classic 1/(10 l) guess
-    for l in (0.5, 1.0, 4.0):
-        p = abstract_profile(
-            sigma=0.9, tau=1.0, eps=1.0, y=1.0, y_minus=1.0, c=1.0, d=1.0,
-            l=l, s=l,
-        )
-        est = alpha_estimate(p)
-        assert 0.5 <= est / (0.1 / l) <= 2.0
-
-
-def test_estimate_close_to_exact_when_linear_term_small(fig1_profile):
-    # the estimate drops the linear term, so it upper-bounds the exact root
-    # and stays within an order of magnitude on a real profile
-    est = alpha_estimate(fig1_profile)
-    exact = alpha_unit_crossing(fig1_profile)
-    assert exact <= est * (1 + 1e-12)
-    assert est <= 10 * exact
 
 
 def test_optimal_alpha_singleton_and_validation(fig1_profile):
@@ -363,27 +341,53 @@ def test_error_vector_decay_rate_bounded_by_radius(fig1_weights, fig1_profile,
 # ---------------------------------------------------------------------------
 
 
+def envelope_ratios(weights, steps: int = 2000, floor: float = 1e-13) -> np.ndarray:
+    """``max|y_k - n pi| / (big_t gamma1^k)`` for the samples above ``floor``.
+
+    The computed ``y`` flattens at the roundoff floor while the envelope
+    keeps falling, so samples at or below it are left out.
+    """
+    gamma1, big_t = push_sum_envelope(digraph.spectral_data(weights))
+    limit = weights.n * digraph.perron_limit(weights)
+    y = np.ones(weights.n)
+    ratios = []
+    for k in range(steps + 1):
+        dev = float(np.max(np.abs(y - limit)))
+        if dev > floor:
+            ratios.append(dev / (big_t * gamma1**k))
+        y = weights.entries @ y
+    return np.array(ratios)
+
+
 def test_envelope_dominates_measured_deviations(fig1_weights):
-    gamma1, big_t = fit_push_sum_envelope(fig1_weights)
+    gamma1, big_t = push_sum_envelope(digraph.spectral_data(fig1_weights))
     assert 0.0 < gamma1 < 1.0 and big_t > 0.0
-    pi, _ = digraph.perron_limit(fig1_weights)
-    limit = 10 * pi
-    y = np.ones(10)
-    for k in range(30):
-        dev = np.max(np.abs(y - limit))
-        assert dev <= big_t * gamma1**k * (1 + 1e-9) + 1e-15
-        y = fig1_weights.entries @ y
+    ratios = envelope_ratios(fig1_weights)
+    assert ratios.size > 30
+    assert ratios.max() <= 1.0
+
+
+@pytest.mark.parametrize("n", [13, 40, 200])
+def test_envelope_dominates_on_random_digraphs(n):
+    ratios = envelope_ratios(digraph.uniform_weights(digraph.random_digraph(n, 4 * n, 3)))
+    assert ratios.size > 10
+    assert ratios.max() <= 1.0
 
 
 def test_envelope_degenerate_for_doubly_stochastic():
-    w = digraph.uniform_weights(digraph.ring_digraph(6))
-    assert fit_push_sum_envelope(w) == (0.5, 0.0)
+    spec = digraph.spectral_data(digraph.uniform_weights(digraph.ring_digraph(6)))
+    assert push_sum_envelope(spec) == (spec.sigma, 0.0)
+
+
+def test_envelope_single_node_is_zero():
+    spec = digraph.spectral_data(digraph.uniform_weights(digraph.Digraph(1)))
+    assert push_sum_envelope(spec) == (0.0, 0.0)
 
 
 def test_key_relation_holds_on_benchmark(fig1_weights, fig1_profile,
                                          canonical_objs, canonical_opt):
     alpha = 0.5 * alpha_upper_bound(fig1_profile)
-    gamma1, big_t = fit_push_sum_envelope(fig1_weights)
+    gamma1, big_t = push_sum_envelope(fig1_profile.spectral)
     trace = run(
         "addopt", fig1_weights, canonical_objs, alpha, 100, 0.0,
         z_star=canonical_opt.z_star, retain_states=True,
@@ -398,7 +402,7 @@ def test_key_relation_holds_on_benchmark(fig1_weights, fig1_profile,
 
 def test_key_relation_holds_at_zero_step(fig1_weights, fig1_profile,
                                          canonical_objs, canonical_opt):
-    gamma1, big_t = fit_push_sum_envelope(fig1_weights)
+    gamma1, big_t = push_sum_envelope(fig1_profile.spectral)
     trace = run(
         "addopt", fig1_weights, canonical_objs, 0.0, 100, 0.0,
         z_star=canonical_opt.z_star, retain_states=True,
@@ -416,7 +420,7 @@ def test_key_relation_doubly_stochastic_drops_correction():
     l, s = objectives.network_constants(objs)
     profile = build_profile(w, l, s)
     opt = objectives.centralized_solve(objs)
-    gamma1, big_t = fit_push_sum_envelope(w)
+    gamma1, big_t = push_sum_envelope(profile.spectral)
     assert big_t == 0.0
     alpha = 0.5 * alpha_upper_bound(profile)
     trace = run(
@@ -437,7 +441,7 @@ def test_key_relation_sensitivity_catches_tight_instances():
     objs = quadratic_set(8, 3, seed=0, curvature=1.0)
     profile = build_profile(w, 1.0, 1.0)
     opt = objectives.centralized_solve(objs)
-    gamma1, big_t = fit_push_sum_envelope(w)
+    gamma1, big_t = push_sum_envelope(profile.spectral)
     alpha = 0.5 * alpha_upper_bound(profile)
     trace = run(
         "addopt", w, objs, alpha, 200, 0.0, z_star=opt.z_star,
@@ -457,11 +461,32 @@ def test_key_relation_holds_on_40_node_random_digraph():
     l, s = objectives.network_constants(objs)
     profile = build_profile(w, l, s)
     opt = objectives.centralized_solve(objs)
-    gamma1, big_t = fit_push_sum_envelope(w, profile.spectral.pi)
+    gamma1, big_t = push_sum_envelope(profile.spectral)
     alpha = 0.5 * alpha_upper_bound(profile)
     trace = run(
         "addopt", w, objs, alpha, 200, 0.0, z_star=opt.z_star,
         pi=profile.spectral.pi, retain_states=True,
+    )
+    report = verify_key_relation(
+        trace.states, profile, opt.z_star, alpha, gamma1, big_t
+    )
+    assert report.ok
+
+
+def test_key_relation_runs_on_a_complete_graph():
+    # uniform weights on a complete graph mix to the limit in one round, so
+    # sigma and the envelope are both 0
+    w = digraph.uniform_weights(digraph.complete_digraph(5))
+    data = objectives.generate_dataset(5, 10, 3, seed=4, reg=0.5)
+    objs = objectives.logistic_objective(data)
+    l, s = objectives.network_constants(objs)
+    profile = build_profile(w, l, s)
+    gamma1, big_t = push_sum_envelope(profile.spectral)
+    assert (gamma1, big_t) == (0.0, 0.0)
+    opt = objectives.centralized_solve(objs)
+    alpha = 0.5 * alpha_upper_bound(profile)
+    trace = run(
+        "addopt", w, objs, alpha, 50, 0.0, z_star=opt.z_star, retain_states=True,
     )
     report = verify_key_relation(
         trace.states, profile, opt.z_star, alpha, gamma1, big_t

@@ -184,6 +184,30 @@ def test_run_divergence_exit_code(capsys, tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "alg, alpha, iters, seed, residual",
+    [
+        # blows up too slowly for the overflow guard
+        ("gp", "30", "300", "4", "1.283e+114"),
+        # stalls above its starting distance
+        ("addopt", "0.3", "3000", "0", "1.893e+00"),
+    ],
+)
+def test_run_ending_farther_than_it_started_exits_1(
+    capsys, tmp_path, alg, alpha, iters, seed, residual
+):
+    out_csv = tmp_path / "t.csv"
+    code, out, err = run_cli(
+        capsys, "run", "--alg", alg, "--graph", "fig1", "--alpha", alpha,
+        "--iters", iters, "--seed", seed, "--out", str(out_csv),
+    )
+    assert code == 1
+    records = int(iters) + 1
+    assert out == f"wrote {out_csv} ({records} records, final residual {residual})\n"
+    assert err.startswith(f"error: final residual {residual} is above 1")
+    assert len(out_csv.read_text().splitlines()) == records + 1
+
+
 def test_run_rejects_a_negative_iteration_count(capsys, tmp_path):
     out_csv = tmp_path / "t.csv"
     code, _, err = run_cli(

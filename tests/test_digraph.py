@@ -262,28 +262,31 @@ def test_weight_matrix_validation():
 # ---------------------------------------------------------------------------
 
 
+def limit_matrix(w: WeightMatrix) -> np.ndarray:
+    """The rank-one limit ``pi 1^T`` of the mixing powers."""
+    return np.outer(perron_limit(w), np.ones(w.n))
+
+
 def test_perron_limit_symmetric_ring_is_uniform():
     # the undirected ring's equal splits are doubly stochastic
     g = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)])
     w = uniform_weights(g)
-    pi, a_inf = perron_limit(w)
+    pi = perron_limit(w)
     np.testing.assert_allclose(pi, 0.25, atol=1e-12)
-    np.testing.assert_allclose(a_inf, 0.25, atol=1e-12)
 
 
 def test_perron_limit_single_node():
-    pi, a_inf = perron_limit(uniform_weights(Digraph(1)))
+    pi = perron_limit(uniform_weights(Digraph(1)))
     assert pi.shape == (1,) and pi[0] == 1.0
-    assert a_inf.shape == (1, 1) and a_inf[0, 0] == 1.0
 
 
 def test_perron_limit_matches_powered_matrix():
     # three-node cycle with self-loops: compare with brute-forced A^200
     a = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
     w = WeightMatrix(a)
-    pi, a_inf = perron_limit(w)
+    pi = perron_limit(w)
     powered = np.linalg.matrix_power(a, 200)
-    np.testing.assert_allclose(a_inf, powered, atol=1e-10)
+    np.testing.assert_allclose(limit_matrix(w), powered, atol=1e-10)
     np.testing.assert_allclose(a @ pi, pi, atol=1e-12)
 
 
@@ -296,7 +299,8 @@ def test_perron_limit_rejects_reducible_weights():
 @given(graph_params)
 def test_perron_limit_properties(params):
     w = uniform_weights(random_digraph(*params))
-    pi, a_inf = perron_limit(w)
+    pi = perron_limit(w)
+    a_inf = limit_matrix(w)
     a = w.entries
     assert np.all(pi > 0)
     assert abs(pi.sum() - 1.0) < 1e-12
@@ -307,7 +311,7 @@ def test_perron_limit_properties(params):
 
 def test_mixing_powers_column_stochastic_and_settling(fig1_weights):
     a = fig1_weights.entries
-    _, a_inf = perron_limit(fig1_weights)
+    a_inf = limit_matrix(fig1_weights)
     norms = []
     p = np.eye(a.shape[0])
     for _ in range(501):
@@ -351,8 +355,8 @@ def test_tau_eps_fig1_values(fig1_weights):
 @settings(max_examples=15)
 def test_tau_eps_matches_svd_oracle(params):
     w = uniform_weights(random_digraph(*params))
-    _, a_inf = perron_limit(w)
-    tau, eps = tau_eps(w, a_inf)
+    a_inf = limit_matrix(w)
+    tau, eps = tau_eps(w)
     n = w.n
     svd_tau = np.linalg.svd(w.entries - np.eye(n), compute_uv=False).max()
     svd_eps = np.linalg.svd(np.eye(n) - a_inf, compute_uv=False).max()
@@ -365,17 +369,15 @@ def test_contraction_norm_normal_matrix_keeps_identity():
     # the spectral radius, so no change of basis is needed
     g = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)])
     w = uniform_weights(g)
-    _, a_inf = perron_limit(w)
     sigma, s_mat = contraction_norm(w)
-    m = w.entries - a_inf
+    m = w.entries - limit_matrix(w)
     rho = np.max(np.abs(np.linalg.eigvals(m)))
     np.testing.assert_allclose(s_mat, np.eye(4))
     assert abs(sigma - rho) < 1e-12
 
 
 def test_contraction_norm_fig1_respects_slack(fig1_weights):
-    _, a_inf = perron_limit(fig1_weights)
-    m = fig1_weights.entries - a_inf
+    m = fig1_weights.entries - limit_matrix(fig1_weights)
     rho = np.max(np.abs(np.linalg.eigvals(m)))
     plain = np.linalg.norm(m, 2)
     assert plain > rho + 0.01  # the certificate genuinely changes the basis
@@ -409,13 +411,12 @@ def test_contraction_norm_rejects_slack_it_cannot_meet():
     with pytest.raises(ValueError, match="slack .* too small"):
         contraction_norm(w, slack=1e-9)
     sigma, _ = contraction_norm(w, slack=1e-6)
-    m = w.entries - perron_limit(w)[1]
+    m = w.entries - limit_matrix(w)
     assert sigma <= np.max(np.abs(np.linalg.eigvals(m))) + 1e-6
 
 
 def test_contraction_norm_default_targets_gap_midpoint(fig1_weights):
-    _, a_inf = perron_limit(fig1_weights)
-    m = fig1_weights.entries - a_inf
+    m = fig1_weights.entries - limit_matrix(fig1_weights)
     rho = np.max(np.abs(np.linalg.eigvals(m)))
     sigma, _ = contraction_norm(fig1_weights)
     assert rho <= sigma <= rho + 0.5 * (1.0 - rho) + 1e-12
@@ -426,11 +427,12 @@ def test_contraction_norm_default_targets_gap_midpoint(fig1_weights):
 def test_contraction_inequality_random_vectors(params, vec_seed):
     w = uniform_weights(random_digraph(*params))
     spec = spectral_data(w)
-    m = w.entries - spec.a_inf
+    a_inf = limit_matrix(w)
+    m = w.entries - a_inf
     rng = np.random.default_rng(vec_seed)
     v = rng.standard_normal(w.n)
-    dev = v - spec.a_inf @ v
-    lhs = spec.vector_norm(w.entries @ v - spec.a_inf @ v)
+    dev = v - a_inf @ v
+    lhs = spec.vector_norm(w.entries @ v - a_inf @ v)
     rhs = spec.sigma * spec.vector_norm(dev)
     assert lhs <= rhs + 1e-12 * max(1.0, rhs)
     # consistency: the certified factor is the induced norm of the deviation map
@@ -450,10 +452,11 @@ def test_spectral_data_certifies_large_random_digraphs(n, seed):
     spec = spectral_data(w)
     assert spec.sigma < 1.0
     assert abs(spec.c - 1.0) < 1e-12
-    m = w.entries - spec.a_inf
+    a_inf = limit_matrix(w)
+    m = w.entries - a_inf
     v = np.random.default_rng(seed).standard_normal((n, 50))
     lhs = np.linalg.norm(spec.transform_inv @ (m @ v), axis=0)
-    dev = v - spec.a_inf @ v
+    dev = v - a_inf @ v
     rhs = spec.sigma * np.linalg.norm(spec.transform_inv @ dev, axis=0)
     assert np.all(lhs <= rhs * (1 + 1e-10))
 
@@ -475,6 +478,33 @@ def test_spectral_data_certified_constants(fig1_weights):
         s_norm = spec.vector_norm(v)
         assert two <= spec.c * s_norm * (1 + 1e-10)
         assert s_norm <= spec.d * two * (1 + 1e-10)
+
+
+def test_spectral_data_single_node_constants():
+    spec = spectral_data(uniform_weights(Digraph(1)))
+    assert spec.eps == 0.0 and spec.sigma == 0.0
+    assert spec.c == 1.0 and spec.d == 1.0
+
+
+@given(
+    st.integers(min_value=2, max_value=200),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(max_examples=10, deadline=None)
+@example(200, 9001)
+@example(13, 3)
+def test_spectral_data_closed_forms_match_svd_oracle(n, seed):
+    # eps, c and d come from closed forms and the Lyapunov eigh, S^-1 from
+    # the same eigh; an SVD of each matrix and a dense inverse are the oracle
+    w = uniform_weights(random_digraph(n, min(4 * n, n * (n - 2)), seed))
+    spec = spectral_data(w)
+    svd_norm = lambda m: np.linalg.svd(m, compute_uv=False).max()
+    assert spec.eps == pytest.approx(svd_norm(np.eye(n) - limit_matrix(w)), rel=1e-12)
+    assert spec.c == 1.0
+    assert spec.c == pytest.approx(svd_norm(spec.transform), rel=1e-12)
+    assert spec.d == pytest.approx(svd_norm(spec.transform_inv), rel=1e-12)
+    inv = np.linalg.inv(spec.transform)
+    assert svd_norm(spec.transform_inv - inv) <= 1e-12 * svd_norm(inv)
 
 
 # ---------------------------------------------------------------------------
