@@ -1,6 +1,6 @@
 """Decentralized first-order methods over column-stochastic mixing matrices.
 
-Three engines share one state container and one driver:
+Three engines share one state container and one driver, :func:`iterate`:
 
 * ``addopt`` -- push-sum consensus plus gradient tracking with a constant
   step; per iteration, with mixing matrix A and tracker w::
@@ -25,26 +25,29 @@ states: row ``i`` of every array belongs to agent ``i``.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import WeightMatrix
-from .objectives import StackedProblem, stack, stacked_gradient
+from .digraph import WeightMatrix, perron_limit
+from .objectives import StackedProblem, reference_optimum, stack, stacked_gradient
 
 __all__ = [
     "OVERFLOW_GUARD",
+    "ALGORITHMS",
     "DivergenceError",
     "AgentSwarm",
     "Trace",
     "addopt_init",
     "addopt_step",
     "dextra_tilde",
-    "dextra_init",
     "dextra_step",
     "gradient_push_init",
     "gradient_push_step",
+    "iterate",
     "run",
     "inv_sqrt_steps",
     "write_trace_csv",
@@ -53,6 +56,10 @@ __all__ = [
 
 #: any |x| entry beyond this signals divergence
 OVERFLOW_GUARD = 1e150
+
+#: the engine that each accepted algorithm name runs (``gp`` is an alias)
+ALGORITHMS = {"addopt": "addopt", "dextra": "dextra", "gp": "gradient_push",
+              "gradient_push": "gradient_push"}
 
 
 class DivergenceError(RuntimeError):
@@ -145,33 +152,17 @@ def dextra_tilde(weights: WeightMatrix, theta: float) -> WeightMatrix:
     return WeightMatrix(theta * np.eye(n) + (1.0 - theta) * weights.entries)
 
 
-def dextra_init(
-    objectives, weights: WeightMatrix, alpha: float, z0=None
-) -> AgentSwarm:
-    """Bootstrap the two-step engine with one tracked-style step from z0."""
-    problem = stack(objectives)
-    x0 = _default_z0(problem, z0)
-    y0 = np.ones(problem.n)
-    grad0 = stacked_gradient(problem, x0)
-    a = weights.entries
-    x1 = a @ x0 - alpha * grad0
-    _check_finite(x1, 1)
-    y1 = a @ y0
-    z1 = x1 / y1[:, None]
-    return AgentSwarm(
-        problem, x1, y1, z1, w=None, grad=None, k=1, x_prev=x0, grad_prev=grad0
-    )
-
-
 def dextra_step(
-    s: AgentSwarm, weights: WeightMatrix, tilde: WeightMatrix, alpha: float
+    s: AgentSwarm, weights: WeightMatrix, alpha: float, tilde: WeightMatrix
 ) -> AgentSwarm:
-    """One corrected two-step iteration; needs the retained previous iterate."""
-    if s.x_prev is None or s.grad_prev is None:
-        raise ValueError("two-step state requires x_prev and grad_prev")
+    """One corrected two-step iteration; a start state (no ``x_prev``) takes
+    the bootstrap step ``x1 = A x0 - alpha * grad(z0)`` instead."""
     a = weights.entries
     grad = stacked_gradient(s.objectives, s.z)
-    x = s.x + a @ s.x - tilde.entries @ s.x_prev - alpha * (grad - s.grad_prev)
+    if s.x_prev is None:
+        x = a @ s.x - alpha * grad
+    else:
+        x = s.x + a @ s.x - tilde.entries @ s.x_prev - alpha * (grad - s.grad_prev)
     _check_finite(x, s.k + 1)
     y = a @ s.y
     z = x / y[:, None]
@@ -225,7 +216,6 @@ class Trace:
     consensus_err: np.ndarray
     tracking_err: np.ndarray
     gap: np.ndarray
-    states: list[AgentSwarm] | None = None
 
     @property
     def records(self) -> int:
@@ -239,9 +229,6 @@ class Trace:
     def final_residual(self) -> float:
         return float(self.residual[-1])
 
-
-_ENGINES = ("addopt", "dextra", "gradient_push")
-_ALIASES = {"gp": "gradient_push"}
 
 #: the trace recorder reduces a block of steps once it holds about this many
 #: state entries per array (n * p per step), so its memory is flat in n
@@ -276,7 +263,7 @@ class _Recorder:
     is bit-equal to computing it step by step.
     """
 
-    def __init__(self, target, denom, z_star, y_inf, tracked: bool, retain_states: bool):
+    def __init__(self, target, denom, z_star, y_inf, tracked: bool):
         n, p = target.shape
         self.n, self.block = n, _block_steps(n, p)
         self.target, self.denom = target, denom
@@ -290,7 +277,6 @@ class _Recorder:
         self.consensus: list[np.ndarray] = []
         self.tracking: list[np.ndarray] = []
         self.gap: list[np.ndarray] = []
-        self.states: list[AgentSwarm] | None = [] if retain_states else None
 
     def record(self, s: AgentSwarm) -> float:
         """Keep step ``s`` and return its residual."""
@@ -302,8 +288,6 @@ class _Recorder:
         if self.tracked:
             self.ws.append(s.w)
             self.grads.append(s.grad)
-        if self.states is not None:
-            self.states.append(s)
         if len(self.xs) == self.block:
             self._flush()
         return res
@@ -336,8 +320,63 @@ class _Recorder:
             consensus_err=np.concatenate(self.consensus),
             tracking_err=np.concatenate(self.tracking),
             gap=np.concatenate(self.gap),
-            states=self.states,
         )
+
+
+def _step_rule(algorithm: str, alpha):
+    """Engine name, step rule ``k -> alpha_k`` and step label of a run.
+
+    ``alpha`` is a constant step for the tracked engines; the baseline also
+    accepts a callable ``k -> alpha_k`` or the string ``"1/sqrt(k)"``.
+    """
+    engine = ALGORITHMS.get(algorithm)
+    if engine is None:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}")
+    if callable(alpha):
+        alpha_fn = alpha
+        alpha_label = getattr(alpha, "__name__", "callable")
+    elif isinstance(alpha, str):
+        if alpha.replace(" ", "") != "1/sqrt(k)":
+            raise ValueError(f"unrecognized step-size spec {alpha!r}")
+        alpha_fn, alpha_label = inv_sqrt_steps, "1/sqrt(k)"
+    else:
+        const = float(alpha)
+        alpha_fn, alpha_label = (lambda k: const), repr(const)
+    if engine != "gradient_push" and (callable(alpha) or isinstance(alpha, str)):
+        raise ValueError(f"{engine} requires a constant step size")
+    return engine, alpha_fn, alpha_label
+
+
+def iterate(
+    algorithm: str, weights: WeightMatrix, objectives, alpha, *, z0=None,
+    theta: float = 0.5,
+) -> Iterator[AgentSwarm]:
+    """Yield the states ``k = 0, 1, 2, ...`` of one engine, without end.
+
+    The arguments are those of :func:`run` and are checked by this call, not
+    at the first ``next()``.  A step that leaves the overflow guard raises
+    :class:`DivergenceError` from ``next()``.  Take a finite run with
+    ``itertools.islice(iterate(...), K + 1)``.
+    """
+    engine, alpha_fn, _ = _step_rule(algorithm, alpha)
+    problem = stack(objectives)
+    # the step functions are looked up here, at each call, so that rebinding
+    # a module-level name (a timer, a test double) reaches the next run
+    if engine == "addopt":
+        s, step, extra = addopt_init(problem, z0), addopt_step, ()
+    elif engine == "dextra":
+        tilde = dextra_tilde(weights, theta)
+        s, step, extra = gradient_push_init(problem, z0), dextra_step, (tilde,)
+    else:
+        s, step, extra = gradient_push_init(problem, z0), gradient_push_step, ()
+
+    def states(s: AgentSwarm) -> Iterator[AgentSwarm]:
+        yield s
+        for k in itertools.count(1):
+            s = step(s, weights, alpha_fn(k), *extra)
+            yield s
+
+    return states(s)
 
 
 def run(
@@ -352,81 +391,38 @@ def run(
     theta: float = 0.5,
     z_star: np.ndarray | None = None,
     pi: np.ndarray | None = None,
-    retain_states: bool = False,
 ) -> Trace:
-    """Drive one engine for ``max_iters`` iterations (or until ``stop_tol``).
+    """Record :func:`iterate` for ``max_iters`` iterations (or until ``stop_tol``).
 
-    ``alpha`` is a constant step for the tracked engines; the baseline also
-    accepts a callable ``k -> alpha_k`` or the string ``"1/sqrt(k)"``.
-    Residuals are measured against ``z_star`` (computed by the centralized
-    solver when not supplied).  Deterministic: same inputs, same trace.
-    ``max_iters = 0`` records the start state only; a negative count raises
-    ``ValueError``.
+    Residuals are measured against ``z_star`` (from
+    :func:`~dirgraphopt.objectives.reference_optimum` when not supplied).
+    Deterministic: same inputs, same trace.  ``max_iters = 0`` records the
+    start state only; a negative count raises ``ValueError``.
     """
-    algorithm = _ALIASES.get(algorithm, algorithm)
-    if algorithm not in _ENGINES:
-        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {_ENGINES}")
+    engine, _, alpha_label = _step_rule(algorithm, alpha)
     if max_iters < 0:
         raise ValueError(f"iteration count must be non-negative, got {max_iters}")
     problem = stack(objectives)
     if z_star is None:
-        from .objectives import centralized_solve
-
-        z_star = centralized_solve(problem).z_star
+        z_star = reference_optimum(problem).z_star
     if pi is None:
-        from .digraph import perron_limit
-
         pi = perron_limit(weights)
 
-    if callable(alpha):
-        alpha_fn = alpha
-        alpha_label = getattr(alpha, "__name__", "callable")
-    elif isinstance(alpha, str):
-        if alpha.replace(" ", "") != "1/sqrt(k)":
-            raise ValueError(f"unrecognized step-size spec {alpha!r}")
-        alpha_fn, alpha_label = inv_sqrt_steps, "1/sqrt(k)"
-    else:
-        const = float(alpha)
-        alpha_fn, alpha_label = (lambda k: const), repr(const)
-    if algorithm != "gradient_push" and (callable(alpha) or isinstance(alpha, str)):
-        raise ValueError(f"{algorithm} requires a constant step size")
-
-    n = problem.n
-    target = np.tile(z_star, (n, 1))
-
-    if algorithm == "addopt":
-        swarm = addopt_init(problem, z0)
-        stepper = lambda s, k: addopt_step(s, weights, alpha_fn(k))
-    elif algorithm == "dextra":
-        tilde = dextra_tilde(weights, theta)
-        swarm = gradient_push_init(problem, z0)  # record the k=0 state too
-        stepper = lambda s, k: (
-            dextra_init(s.objectives, weights, alpha_fn(k), z0=s.x)
-            if s.k == 0
-            else dextra_step(s, weights, tilde, alpha_fn(k))
-        )
-    else:
-        swarm = gradient_push_init(problem, z0)
-        stepper = lambda s, k: gradient_push_step(s, weights, alpha_fn(k))
-
-    denom = float(np.linalg.norm(swarm.z - target))
-    if denom == 0.0:
-        denom = 1.0
-    recorder = _Recorder(
-        target, denom, z_star, n * pi, algorithm == "addopt", retain_states
-    )
-
-    res = recorder.record(swarm)
-    for k in range(1, max_iters + 1):
-        if res <= stop_tol:
-            break
-        try:
-            swarm = stepper(swarm, k)
-        except DivergenceError as exc:
-            exc.trace = recorder.trace(algorithm, alpha_label)
-            raise
-        res = recorder.record(swarm)
-    return recorder.trace(algorithm, alpha_label)
+    states = iterate(engine, weights, problem, alpha, z0=z0, theta=theta)
+    s = next(states)
+    target = np.tile(z_star, (s.n, 1))
+    denom = float(np.linalg.norm(s.z - target)) or 1.0
+    recorder = _Recorder(target, denom, z_star, s.n * pi, engine == "addopt")
+    res = recorder.record(s)
+    try:
+        for _ in range(max_iters):
+            if res <= stop_tol:
+                break
+            res = recorder.record(next(states))
+    except DivergenceError as exc:
+        exc.trace = recorder.trace(engine, alpha_label)
+        raise
+    return recorder.trace(engine, alpha_label)
 
 
 def write_trace_csv(trace: Trace, path) -> None:

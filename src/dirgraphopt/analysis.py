@@ -16,6 +16,7 @@ verifies the recursion on recorded trajectories.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -303,33 +304,33 @@ def verify_key_relation(
 ) -> KeyRelationReport:
     """Check ``t_k <= G t_{k-1} + H_{k-1} s_{k-1}`` elementwise along a run.
 
-    ``states`` is the retained state list of a tracked-engine trace;
-    ``s_k = [|x_k|_2, 0, 0]``.  A component counts as violated when it
-    exceeds its bound by more than ``rel_tol`` relative slack; the worst
-    (most negative) margin across all steps is reported.  Some components
-    hold with equality (e.g. the mean-error row at ``alpha = 0``), so the
-    default tolerance sits at the accumulated-roundoff scale of a long
-    trajectory rather than at single-step machine precision.
+    ``states`` is an iterable of a tracked engine's states ``k = 0, 1, ...``,
+    such as ``itertools.islice(algorithms.iterate("addopt", ...), K + 1)``;
+    it is walked once, pairwise, and not kept.  ``s_k = [|x_k|_2, 0, 0]``.
+    A component counts as violated when it exceeds its bound by more than
+    ``rel_tol`` relative slack; the worst (most negative) margin across all
+    steps is reported.  Some components hold with equality (e.g. the
+    mean-error row at ``alpha = 0``), so the default tolerance sits at the
+    accumulated-roundoff scale of a long trajectory rather than at
+    single-step machine precision.  Fewer than two states raise
+    ``ValueError``.
     """
-    states = list(states)
-    if len(states) < 2:
-        raise ValueError("need at least two recorded states")
     g_mat = build_G(profile, alpha)
-    t_prev = t_vector(states[0], profile, z_star)
-    violations = 0
+    violations = k = 0
     worst = math.inf
-    for k in range(1, len(states)):
-        t_cur = t_vector(states[k], profile, z_star)
-        s_prev = np.array([float(np.linalg.norm(states[k - 1].x)), 0.0, 0.0])
+    pairs = itertools.pairwise((s, t_vector(s, profile, z_star)) for s in states)
+    for k, ((prev, t_prev), (_, t_cur)) in enumerate(pairs, start=1):
+        s_prev = np.array([float(np.linalg.norm(prev.x)), 0.0, 0.0])
         h_prev = build_H(profile, alpha, gamma1, big_t, k - 1)
         bound = g_mat @ t_prev + h_prev @ s_prev
         slack = bound - t_cur
         worst = min(worst, float(slack.min()))
         tol = rel_tol * np.maximum(1.0, np.abs(bound))
         violations += int(np.sum(slack < -tol))
-        t_prev = t_cur
+    if k == 0:
+        raise ValueError("need at least two recorded states")
     return KeyRelationReport(
-        steps_checked=len(states) - 1,
+        steps_checked=k,
         violations=violations,
         worst_margin=worst,
         gamma1=gamma1,

@@ -15,7 +15,8 @@ Subcommands::
 Exit status is 0 only when every requested run completed without
 divergence; a diverged run exits 1, and so does a ``run`` whose final
 residual is above 1 (it ended farther from ``z*`` than it started, after
-writing its trace); config and usage errors exit 2.
+writing its trace) and a run or study whose reference solve did not
+converge (before any output is written); config and usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -191,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_data.set_defaults(fn=_cmd_data)
 
     p_run = sub.add_parser("run", help="run one algorithm, write a trace CSV")
-    p_run.add_argument("--alg", required=True,
-                       choices=("addopt", "dextra", "gp", "gradient_push"))
+    p_run.add_argument("--alg", required=True, choices=sorted(algorithms.ALGORITHMS))
     p_run.add_argument("--graph", required=True)
     p_run.add_argument("--alpha", required=True,
                        help="constant step size, or 1/sqrt(k) for gp")
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except algorithms.DivergenceError as exc:
+    except (algorithms.DivergenceError, objectives.UnconvergedSolveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (experiments.ConfigError, ValueError, OSError) as exc:

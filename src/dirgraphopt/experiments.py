@@ -68,10 +68,10 @@ class ExperimentConfig:
     graph_files: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        names = tuple(algorithms._ALIASES.get(a, a) for a in self.algorithms)
-        for a, name in zip(self.algorithms, names):
-            if name not in algorithms._ENGINES:
+        for a in self.algorithms:
+            if a not in algorithms.ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}")
+        names = tuple(algorithms.ALGORITHMS[a] for a in self.algorithms)
         if len(set(names)) != len(names):
             raise ConfigError(f"algorithm list has duplicates: {self.algorithms}")
         if self.iters < 0:
@@ -128,21 +128,38 @@ def parse_alpha(text: str):
     return value
 
 
-def _parse_graph(section) -> tuple:
-    source = section.get("source", "fig1").strip()
-    if source == "random":
-        return (
-            "random",
-            section.getint("nodes", 10),
-            section.getint("extra_edges", 10),
-            section.getint("seed", 0),
-        )
-    if source.startswith("file:"):
-        return ("file", source[len("file:"):].strip())
-    return ("builtin", source)
+#: the keys that each config section accepts
+_KEYS = {
+    "graph": {"source", "nodes", "extra_edges", "seed"},
+    "objective": {"kind", "examples", "dim", "reg", "seed"},
+    "run": {"algorithms", "alpha", "iters", "seeds", "stop_tol", "theta", "slack"},
+    "output": {"dir", "prefix"},
+    "sparsity": {"chain_extra", "seeds", "graphs", "strict_nesting"},
+}
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in _names(text))
+
+
+def _flag(text: str) -> bool:
+    value = text.strip().lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return value in ("1", "true", "yes")
+
+
+def _slack(text: str) -> float | None:
+    return None if text.strip() == "auto" else float(text)
 
 
 def load_config(path) -> ExperimentConfig:
+    """Parse a config file.  An unknown section or key, or a value that does
+    not parse, raises :class:`ConfigError` naming ``section.key``."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -151,60 +168,63 @@ def load_config(path) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [DEFAULT]")
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key in parser[section]:
+            if key not in _KEYS[section]:
+                raise ConfigError(f"{path}: unknown key {section}.{key}")
 
-    graph_sec = parser["graph"] if parser.has_section("graph") else {}
-    obj_sec = parser["objective"] if parser.has_section("objective") else {}
-    run_sec = parser["run"] if parser.has_section("run") else {}
-    out_sec = parser["output"] if parser.has_section("output") else {}
-    sparsity_sec = parser["sparsity"] if parser.has_section("sparsity") else {}
+    def get(key: str, convert, default):
+        """``convert`` of the value of ``section.key``, or ``default``."""
+        section, option = key.split(".")
+        if not parser.has_option(section, option):
+            return default
+        try:
+            return convert(parser.get(section, option))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
 
-    graph = _parse_graph(graph_sec)
-    if graph[0] == "file" and not Path(graph[1]).exists():
-        raise ConfigError(f"graph file not found: {graph[1]}")
+    source = get("graph.source", str.strip, "fig1")
+    if source == "random":
+        graph = ("random", get("graph.nodes", int, 10),
+                 get("graph.extra_edges", int, 10), get("graph.seed", int, 0))
+    elif source.startswith("file:"):
+        graph = ("file", source[len("file:"):].strip())
+        if not Path(graph[1]).exists():
+            raise ConfigError(f"graph file not found: {graph[1]}")
+    else:
+        graph = ("builtin", source)
 
-    objective = str(obj_sec.get("kind", "logistic")).strip()
+    objective = get("objective.kind", str.strip, "logistic")
     if objective not in ("logistic", "quadratic"):
         raise ConfigError(f"objective kind must be logistic or quadratic, got {objective!r}")
 
-    algs = tuple(
-        a.strip() for a in str(run_sec.get("algorithms", "addopt")).split(",") if a.strip()
-    )
-
-    seeds_text = str(sparsity_sec.get("seeds", run_sec.get("seeds", ""))).strip()
-    seeds = tuple(int(v) for v in seeds_text.split(",") if v.strip()) if seeds_text else ()
-
-    chain_text = str(sparsity_sec.get("chain_extra", "")).strip()
-    chain = tuple(int(v) for v in chain_text.split(",") if v.strip()) if chain_text else ()
-
-    files_text = str(sparsity_sec.get("graphs", "")).strip()
-    graph_files = tuple(v.strip() for v in files_text.split(",") if v.strip())
+    graph_files = get("sparsity.graphs", _names, ())
     for f in graph_files:
         if not Path(f).exists():
             raise ConfigError(f"graph file not found: {f}")
 
     return ExperimentConfig(
         graph=graph,
-        algorithms=algs,
-        alpha=parse_alpha(str(run_sec.get("alpha", "0.1"))),
+        algorithms=get("run.algorithms", _names, ("addopt",)),
+        alpha=get("run.alpha", parse_alpha, 0.1),
         objective=objective,
-        reg=float(obj_sec.get("reg", 1.0)),
-        seed=int(obj_sec.get("seed", 0)),
-        seeds=seeds,
-        n_examples=int(obj_sec.get("examples", 10)),
-        dim=int(obj_sec.get("dim", 3)),
-        iters=int(run_sec.get("iters", 500)),
-        stop_tol=float(run_sec.get("stop_tol", 0.0)),
-        theta=float(run_sec.get("theta", 0.5)),
-        slack=(
-            None
-            if str(run_sec.get("slack", "auto")).strip() == "auto"
-            else float(run_sec.get("slack"))
-        ),
-        out_dir=Path(out_sec.get("dir", ".")),
-        prefix=str(out_sec.get("prefix", "study")),
-        chain_extra=chain,
-        strict_nesting=str(sparsity_sec.get("strict_nesting", "false")).lower()
-        in ("1", "true", "yes"),
+        reg=get("objective.reg", float, 1.0),
+        seed=get("objective.seed", int, 0),
+        seeds=get("sparsity.seeds", _ints, get("run.seeds", _ints, ())),
+        n_examples=get("objective.examples", int, 10),
+        dim=get("objective.dim", int, 3),
+        iters=get("run.iters", int, 500),
+        stop_tol=get("run.stop_tol", float, 0.0),
+        theta=get("run.theta", float, 0.5),
+        slack=get("run.slack", _slack, None),
+        out_dir=Path(get("output.dir", str, ".")),
+        prefix=get("output.prefix", str, "study"),
+        chain_extra=get("sparsity.chain_extra", _ints, ()),
+        strict_nesting=get("sparsity.strict_nesting", _flag, False),
         graph_files=graph_files,
     )
 
@@ -298,7 +318,7 @@ def _prepare(cfg: ExperimentConfig, graph: digraph.Digraph, seed: int) -> tuple:
     vector ``pi`` of one (graph, data seed) pair."""
     weights = digraph.uniform_weights(graph)
     objs = build_objectives(cfg, graph.n, seed=seed)
-    opt = objectives.centralized_solve(objs)
+    opt = objectives.reference_optimum(objs)
     return weights, objs, opt.z_star, digraph.perron_limit(weights)
 
 
@@ -318,6 +338,14 @@ def _run_lanes(
         except algorithms.DivergenceError as exc:
             trace, diverged = exc.trace, True
         yield trace, diverged
+
+
+def _addopt_only(cfg: ExperimentConfig, study: str) -> None:
+    if cfg.algorithms != ("addopt",):
+        raise ConfigError(
+            f"the {study} study runs addopt only, got algorithms = "
+            f"{', '.join(cfg.algorithms)}"
+        )
 
 
 def _out_path(cfg: ExperimentConfig, suffix: str) -> Path:
@@ -369,11 +397,12 @@ def cmd_stepsize_study(cfg: ExperimentConfig) -> ComparisonReport:
     Per grid point: the recursion radius ``rho(G(alpha))``, a convergence
     flag, and the residual after the configured iteration count (200 by
     convention).  Rows are written in increasing alpha order.  The graph is
-    certified before any grid point runs.
+    certified before any grid point runs.  ``algorithms`` must be ``addopt``.
     """
     sweep = cfg.sweep
     if sweep is None:
         raise ConfigError("stepsize study needs alpha = lo:hi:steps")
+    _addopt_only(cfg, "stepsize")
     grid = [float(alpha) for alpha in np.linspace(*sweep)]
     prepared = _prepare(cfg, resolve_graph(cfg), cfg.seed)
     weights, objs, _, _ = prepared
@@ -423,10 +452,12 @@ def cmd_sparsity_study(cfg: ExperimentConfig) -> ComparisonReport:
     size; the per-run slope comes from the standard fit window (residual in
     (1e-12, 1e-1]).  A run that diverges raises ``DivergenceError``, and one
     with fewer than two residuals in the window raises ``ConfigError``; both
-    name the graph and the seed, and no CSV is written.
+    name the graph and the seed, and no CSV is written.  ``algorithms`` must
+    be ``addopt``.
     """
     if not isinstance(cfg.alpha, float):
         raise ConfigError("sparsity study needs a constant step size")
+    _addopt_only(cfg, "sparsity")
     seeds = cfg.seeds or (cfg.seed,)
     rows: list[SparsityRow] = []
     for label, g in _sparsity_graphs(cfg):

@@ -26,12 +26,14 @@ __all__ = [
     "Logistic",
     "LogisticData",
     "Optimum",
+    "UnconvergedSolveError",
     "quadratic_objective",
     "logistic_objective",
     "generate_dataset",
     "save_dataset_csv",
     "load_dataset_csv",
     "centralized_solve",
+    "reference_optimum",
     "network_constants",
     "StackedProblem",
     "StackedQuadratic",
@@ -467,3 +469,20 @@ def centralized_solve(
         converged=converged,
         iterations=iterations,
     )
+
+
+class UnconvergedSolveError(RuntimeError):
+    """The centralized solve ran out of iterations before its tolerance."""
+
+
+def reference_optimum(objectives) -> Optimum:
+    """The :func:`centralized_solve` optimum that residuals are measured
+    against; raises :class:`UnconvergedSolveError` if the solve did not
+    converge, since every residual would be measured against the wrong point."""
+    opt = centralized_solve(objectives)
+    if not opt.converged:
+        raise UnconvergedSolveError(
+            f"reference solve did not converge: gradient norm "
+            f"{opt.residual_norm:.3e} after {opt.iterations} iterations"
+        )
+    return opt

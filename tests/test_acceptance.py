@@ -5,6 +5,7 @@ criterion with the measured numbers."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -179,14 +180,11 @@ def test_criterion_05_step_ceiling_closed_form_vs_bisection():
     )
 
 
-def invariant_deviation(weights, objs, alpha: float, z_star) -> float:
-    trace = algorithms.run(
-        "addopt", weights, objs, alpha, 1000, 0.0,
-        z_star=z_star, retain_states=True,
-    )
+def invariant_deviation(weights, objs, alpha: float) -> float:
+    states = itertools.islice(algorithms.iterate("addopt", weights, objs, alpha), 1001)
     worst = 0.0
     n = weights.n
-    for prev, cur in zip(trace.states, trace.states[1:]):
+    for prev, cur in itertools.pairwise(states):
         tracker_gap = np.abs(prev.w.mean(axis=0) - prev.grad.mean(axis=0))
         descent_gap = np.abs(
             cur.x.mean(axis=0)
@@ -199,16 +197,11 @@ def invariant_deviation(weights, objs, alpha: float, z_star) -> float:
     return worst
 
 
-def test_criterion_06_trajectory_invariants(
-    fig1_weights, canonical_objs, canonical_opt
-):
-    dev_logistic = invariant_deviation(
-        fig1_weights, canonical_objs, 0.08, canonical_opt.z_star
-    )
+def test_criterion_06_trajectory_invariants(fig1_weights, canonical_objs):
+    dev_logistic = invariant_deviation(fig1_weights, canonical_objs, 0.08)
     quads = quadratic_set(6, 2, seed=0)
     w_rand = digraph.uniform_weights(digraph.random_digraph(6, 8, seed=2))
-    opt = objectives.centralized_solve(quads)
-    dev_quadratic = invariant_deviation(w_rand, quads, 0.05, opt.z_star)
+    dev_quadratic = invariant_deviation(w_rand, quads, 0.05)
     worst = max(dev_logistic, dev_quadratic)
     record_acceptance(
         6,
@@ -238,16 +231,13 @@ def recursion_check_on_random_graphs(sigma_scale: float = 1.0) -> tuple[int, flo
         profile = analysis.build_profile(w, l, s)
         alpha = analysis.alpha_upper_bound(profile) / 2
         opt = objectives.centralized_solve(objs)
-        trace = algorithms.run(
-            "addopt", w, objs, alpha, 200, 0.0,
-            z_star=opt.z_star, pi=profile.spectral.pi, retain_states=True,
-        )
+        states = itertools.islice(algorithms.iterate("addopt", w, objs, alpha), 201)
         sigma = sigma_scale * profile.sigma
         spec = dataclasses.replace(profile.spectral, sigma=sigma)
         profile = dataclasses.replace(profile, sigma=sigma, spectral=spec)
         gamma1, big_t = analysis.push_sum_envelope(spec)
         report = analysis.verify_key_relation(
-            trace.states, profile, opt.z_star, alpha, gamma1, big_t
+            states, profile, opt.z_star, alpha, gamma1, big_t
         )
         total_violations += report.violations
         worst_margin = min(worst_margin, report.worst_margin)
@@ -298,17 +288,14 @@ def test_criterion_08_mixing_contracts_in_constructed_norm(fig1_graph):
     )
 
 
-def test_criterion_09_zero_step_recovers_initial_average(
-    fig1_weights, fig1_pi
-):
+def test_criterion_09_zero_step_recovers_initial_average(fig1_weights):
     rng = np.random.default_rng(5)
     z0 = rng.standard_normal((10, 3))
     quads = quadratic_set(10, 3, seed=1)
-    trace = algorithms.run(
-        "addopt", fig1_weights, quads, 0.0, 500, 0.0,
-        z0=z0, z_star=np.zeros(3), pi=fig1_pi, retain_states=True,
+    *_, last = itertools.islice(
+        algorithms.iterate("addopt", fig1_weights, quads, 0.0, z0=z0), 501
     )
-    deviation = float(np.max(np.abs(trace.states[-1].z - z0.mean(axis=0))))
+    deviation = float(np.max(np.abs(last.z - z0.mean(axis=0))))
     record_acceptance(
         9,
         "with a zero step every agent's ratio estimate settles on the "

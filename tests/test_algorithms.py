@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ from dirgraphopt.algorithms import (
     DivergenceError,
     addopt_init,
     addopt_step,
-    dextra_init,
     dextra_step,
     dextra_tilde,
     gradient_push_init,
     gradient_push_step,
     inv_sqrt_steps,
+    iterate,
     read_trace_csv,
     run,
     write_trace_csv,
@@ -26,6 +27,9 @@ from dirgraphopt.algorithms import (
 from dirgraphopt.digraph import WeightMatrix
 
 from conftest import quadratic_set
+
+
+ENGINES = sorted(set(algorithms.ALGORITHMS.values()))
 
 
 @pytest.fixture(scope="module")
@@ -128,11 +132,7 @@ def test_collapsed_two_step_identity(fig1_weights, canonical_objs):
     # eliminating the tracker yields
     # x_{k+1} = 2 A x_k - A^2 x_{k-1} - alpha (grad_k - grad_{k-1})
     alpha = 0.05
-    trace = run(
-        "addopt", fig1_weights, canonical_objs, alpha, 50, 0.0,
-        retain_states=True,
-    )
-    states = trace.states
+    states = list(islice(iterate("addopt", fig1_weights, canonical_objs, alpha), 51))
     a = fig1_weights.entries
     for prev, cur, nxt in zip(states, states[1:], states[2:]):
         predicted = (
@@ -169,8 +169,9 @@ def test_corrector_matrix_validation(ring4):
 
 
 def test_two_step_bootstrap_definition(ring4, quad4):
+    # from a start state (no x_prev) the step is x1 = A x0 - alpha grad(z0)
     alpha = 0.1
-    s1 = dextra_init(quad4, ring4, alpha)
+    s1 = dextra_step(gradient_push_init(quad4), ring4, alpha, dextra_tilde(ring4, 0.5))
     x0 = np.zeros((4, 2))
     g0 = np.array([o.gradient(z) for o, z in zip(quad4, x0)])
     np.testing.assert_allclose(
@@ -181,25 +182,18 @@ def test_two_step_bootstrap_definition(ring4, quad4):
     np.testing.assert_array_equal(s1.grad_prev, g0)
 
 
-def test_two_step_needs_retained_state(ring4, quad4):
-    tilde = dextra_tilde(ring4, 0.5)
-    fresh = gradient_push_init(quad4)
-    with pytest.raises(ValueError, match="x_prev"):
-        dextra_step(fresh, ring4, tilde, 0.1)
-
-
 def test_two_step_coincides_with_tracked_engine_on_identity_mixing(quad4):
     # with identity mixing both engines reduce to the same decentralized
     # gradient recursion, step for step
     eye = WeightMatrix(np.eye(4))
     alpha, theta = 0.1, 0.37
     tilde = dextra_tilde(eye, theta)
-    s_two = dextra_init(quad4, eye, alpha)
+    s_two = dextra_step(gradient_push_init(quad4), eye, alpha, tilde)
     s_tracked = addopt_step(addopt_init(quad4), eye, alpha)
     for _ in range(40):
         np.testing.assert_allclose(s_two.x, s_tracked.x, atol=1e-12)
         np.testing.assert_allclose(s_two.z, s_tracked.z, atol=1e-12)
-        s_two = dextra_step(s_two, eye, tilde, alpha)
+        s_two = dextra_step(s_two, eye, alpha, tilde)
         s_tracked = addopt_step(s_tracked, eye, alpha)
 
 
@@ -308,12 +302,11 @@ def test_run_is_deterministic(fig1_weights, canonical_objs):
 
 
 def test_run_reaches_fixed_point_consensus(fig1_weights, canonical_objs):
-    trace = run(
-        "addopt", fig1_weights, canonical_objs, 0.08, 500, 1e-10,
-        retain_states=True,
-    )
+    trace = run("addopt", fig1_weights, canonical_objs, 0.08, 500, 1e-10)
     assert trace.final_residual <= 1e-10
-    final = trace.states[-1]
+    *_, final = islice(
+        iterate("addopt", fig1_weights, canonical_objs, 0.08), trace.iterations + 1
+    )
     spread = np.max(
         np.linalg.norm(final.z[:, None, :] - final.z[None, :, :], axis=-1)
     )
@@ -329,6 +322,27 @@ def test_run_engine_name_validation(ring4, quad4):
         run("sgd", ring4, quad4, 0.1, 10)
     trace = run("gp", ring4, quad4, "1/sqrt(k)", 10)
     assert trace.algorithm == "gradient_push"
+
+
+def test_iterate_checks_its_arguments_when_called(ring4, quad4):
+    # each call raises before any next(), so no generator is ever started
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        iterate("sgd", ring4, quad4, 0.1)
+    with pytest.raises(ValueError, match="constant step"):
+        iterate("dextra", ring4, quad4, "1/sqrt(k)")
+    with pytest.raises(ValueError, match="step-size spec"):
+        iterate("gp", ring4, quad4, "1/k")
+    with pytest.raises(ValueError, match="theta"):
+        iterate("dextra", ring4, quad4, 0.1, theta=0.7)
+    with pytest.raises(ValueError, match="shape"):
+        iterate("addopt", ring4, quad4, 0.1, z0=np.zeros((3, 2)))
+
+
+def test_iterate_is_endless_and_starts_every_engine_at_k0(ring4, quad4):
+    for alg in ENGINES:
+        states = list(islice(iterate(alg, ring4, quad4, BLOCK_ALPHAS[alg]), 5))
+        assert [s.k for s in states] == [0, 1, 2, 3, 4]
+        np.testing.assert_array_equal(states[0].x, 0.0)
 
 
 def test_run_rejects_schedules_for_tracked_engines(ring4, quad4):
@@ -391,7 +405,7 @@ def test_engines_and_reference_solve_never_call_per_agent_gradients(
 ):
     quads = quadratic_set(10, 2, seed=3)
     expected = {
-        name: [run(alg, fig1_weights, objs, 0.05, 40, 0.0) for alg in algorithms._ENGINES]
+        name: [run(alg, fig1_weights, objs, 0.05, 40, 0.0) for alg in ENGINES]
         for name, objs in (("logistic", canonical_objs), ("quadratic", quads))
     }
 
@@ -402,7 +416,7 @@ def test_engines_and_reference_solve_never_call_per_agent_gradients(
     monkeypatch.setattr(objectives.Quadratic, "gradient", per_agent)
     for name, objs in (("logistic", canonical_objs), ("quadratic", quads)):
         assert objectives.centralized_solve(objs).converged
-        for alg, before in zip(algorithms._ENGINES, expected[name]):
+        for alg, before in zip(ENGINES, expected[name]):
             # z_star is left to run(), so the reference solve runs here too
             trace = run(alg, fig1_weights, objs, 0.05, 40, 0.0)
             assert trace.residual.tobytes() == before.residual.tobytes()
@@ -413,7 +427,8 @@ def test_swarm_holds_the_stacked_problem(ring4, quad4):
         assert isinstance(swarm.objectives, objectives.StackedQuadratic)
         assert swarm.objectives.agents == quad4
     problem = objectives.stack(quad4)
-    assert dextra_init(problem, ring4, 0.05).objectives is problem
+    for swarm in islice(iterate("dextra", ring4, problem, 0.05), 3):
+        assert swarm.objectives is problem
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +503,8 @@ def test_block_recorder_matches_per_step_recorder_at_block_edges(
     w, objs, z_star, pi = block_problems(n, p)
     alpha = BLOCK_ALPHAS[algorithm]
     block = algorithms._block_steps(n, p)
-    full = run(algorithm, w, objs, alpha, 2 * block + 1, z_star=z_star, pi=pi,
-               retain_states=True)
-    expected = per_step_columns(full.states, z_star, pi)
+    states = list(islice(iterate(algorithm, w, objs, alpha), 2 * block + 2))
+    expected = per_step_columns(states, z_star, pi)
     for iters in (0, block - 1, block, block + 1, 2 * block + 1):
         trace = run(algorithm, w, objs, alpha, iters, z_star=z_star, pi=pi)
         assert_same_bytes(trace, expected, iters + 1)
@@ -513,8 +527,7 @@ def test_block_recorder_divergence_keeps_the_finite_records(
     alpha = BLOCK_ALPHAS[algorithm]
     block = algorithms._block_steps(10, 3)
     expected = per_step_columns(
-        run(algorithm, w, objs, alpha, 2 * block + 1, z_star=z_star, pi=pi,
-            retain_states=True).states, z_star, pi)
+        list(islice(iterate(algorithm, w, objs, alpha), 2 * block + 2)), z_star, pi)
     # the first block holds k = 0 .. block-1, so step k = block is the first
     # one after a flush
     at = block if where == "after_flush" else block + block // 2

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirgraphopt import algorithms, analysis, digraph, objectives
-from dirgraphopt.algorithms import Trace, run
+from dirgraphopt.algorithms import Trace, iterate, run
 from dirgraphopt.analysis import (
     ConvergenceProfile,
     alpha_unit_crossing,
@@ -311,11 +312,8 @@ def test_error_vector_requires_tracker_and_spectral_data(fig1_profile, quad4=Non
 
 def test_error_vector_nonnegative_along_run(fig1_weights, fig1_profile,
                                             canonical_objs, canonical_opt):
-    trace = run(
-        "addopt", fig1_weights, canonical_objs, 0.001, 50, 0.0,
-        z_star=canonical_opt.z_star, retain_states=True,
-    )
-    for s in trace.states:
+    states = islice(iterate("addopt", fig1_weights, canonical_objs, 0.001), 51)
+    for s in states:
         t = t_vector(s, fig1_profile, canonical_opt.z_star)
         assert np.all(t >= 0.0)
 
@@ -324,13 +322,10 @@ def test_error_vector_decay_rate_bounded_by_radius(fig1_weights, fig1_profile,
                                                    canonical_objs, canonical_opt):
     alpha = 0.6 * alpha_upper_bound(fig1_profile)
     rho = spectral_radius(build_G(fig1_profile, alpha))
-    trace = run(
-        "addopt", fig1_weights, canonical_objs, alpha, 600, 0.0,
-        z_star=canonical_opt.z_star, retain_states=True,
-    )
+    states = islice(iterate("addopt", fig1_weights, canonical_objs, alpha), 601)
     norms = np.array(
         [np.linalg.norm(t_vector(s, fig1_profile, canonical_opt.z_star))
-         for s in trace.states]
+         for s in states]
     )
     fit = fit_log_linear(np.arange(norms.size, dtype=float), norms)
     assert math.exp(fit.slope) <= rho + 0.05
@@ -388,12 +383,9 @@ def test_key_relation_holds_on_benchmark(fig1_weights, fig1_profile,
                                          canonical_objs, canonical_opt):
     alpha = 0.5 * alpha_upper_bound(fig1_profile)
     gamma1, big_t = push_sum_envelope(fig1_profile.spectral)
-    trace = run(
-        "addopt", fig1_weights, canonical_objs, alpha, 100, 0.0,
-        z_star=canonical_opt.z_star, retain_states=True,
-    )
+    states = islice(iterate("addopt", fig1_weights, canonical_objs, alpha), 101)
     report = verify_key_relation(
-        trace.states, fig1_profile, canonical_opt.z_star, alpha, gamma1, big_t
+        states, fig1_profile, canonical_opt.z_star, alpha, gamma1, big_t
     )
     assert report.ok
     assert report.steps_checked == 100
@@ -403,12 +395,9 @@ def test_key_relation_holds_on_benchmark(fig1_weights, fig1_profile,
 def test_key_relation_holds_at_zero_step(fig1_weights, fig1_profile,
                                          canonical_objs, canonical_opt):
     gamma1, big_t = push_sum_envelope(fig1_profile.spectral)
-    trace = run(
-        "addopt", fig1_weights, canonical_objs, 0.0, 100, 0.0,
-        z_star=canonical_opt.z_star, retain_states=True,
-    )
+    states = islice(iterate("addopt", fig1_weights, canonical_objs, 0.0), 101)
     report = verify_key_relation(
-        trace.states, fig1_profile, canonical_opt.z_star, 0.0, gamma1, big_t
+        states, fig1_profile, canonical_opt.z_star, 0.0, gamma1, big_t
     )
     assert report.ok
 
@@ -423,12 +412,9 @@ def test_key_relation_doubly_stochastic_drops_correction():
     gamma1, big_t = push_sum_envelope(profile.spectral)
     assert big_t == 0.0
     alpha = 0.5 * alpha_upper_bound(profile)
-    trace = run(
-        "addopt", w, objs, alpha, 100, 0.0, z_star=opt.z_star,
-        retain_states=True,
-    )
+    states = islice(iterate("addopt", w, objs, alpha), 101)
     report = verify_key_relation(
-        trace.states, profile, opt.z_star, alpha, gamma1, big_t
+        states, profile, opt.z_star, alpha, gamma1, big_t
     )
     assert report.ok
 
@@ -443,12 +429,9 @@ def test_key_relation_sensitivity_catches_tight_instances():
     opt = objectives.centralized_solve(objs)
     gamma1, big_t = push_sum_envelope(profile.spectral)
     alpha = 0.5 * alpha_upper_bound(profile)
-    trace = run(
-        "addopt", w, objs, alpha, 200, 0.0, z_star=opt.z_star,
-        retain_states=True,
-    )
+    states = islice(iterate("addopt", w, objs, alpha), 201)
     report = verify_key_relation(
-        trace.states, profile, opt.z_star, alpha, gamma1, big_t
+        states, profile, opt.z_star, alpha, gamma1, big_t
     )
     assert report.violations > 0
     assert report.worst_margin < 0
@@ -463,12 +446,9 @@ def test_key_relation_holds_on_40_node_random_digraph():
     opt = objectives.centralized_solve(objs)
     gamma1, big_t = push_sum_envelope(profile.spectral)
     alpha = 0.5 * alpha_upper_bound(profile)
-    trace = run(
-        "addopt", w, objs, alpha, 200, 0.0, z_star=opt.z_star,
-        pi=profile.spectral.pi, retain_states=True,
-    )
+    states = islice(iterate("addopt", w, objs, alpha), 201)
     report = verify_key_relation(
-        trace.states, profile, opt.z_star, alpha, gamma1, big_t
+        states, profile, opt.z_star, alpha, gamma1, big_t
     )
     assert report.ok
 
@@ -485,11 +465,9 @@ def test_key_relation_runs_on_a_complete_graph():
     assert (gamma1, big_t) == (0.0, 0.0)
     opt = objectives.centralized_solve(objs)
     alpha = 0.5 * alpha_upper_bound(profile)
-    trace = run(
-        "addopt", w, objs, alpha, 50, 0.0, z_star=opt.z_star, retain_states=True,
-    )
+    states = islice(iterate("addopt", w, objs, alpha), 51)
     report = verify_key_relation(
-        trace.states, profile, opt.z_star, alpha, gamma1, big_t
+        states, profile, opt.z_star, alpha, gamma1, big_t
     )
     assert report.ok
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirgraphopt import digraph
+from dirgraphopt import digraph, objectives
 from dirgraphopt.cli import main
 
 
@@ -581,3 +581,93 @@ def test_shipped_configs_run_and_reproduce(capsys, tmp_path, monkeypatch):
             ]
         outputs.append({p.name: p.read_bytes() for p in Path("out").glob("*.csv")})
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# reference solve that did not converge, config keys
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def unconverged_solve(monkeypatch):
+    """``centralized_solve`` stubbed to hit its budget, without the 10 s solve."""
+    def solve(objs, *args, **kwargs):
+        dim = objectives.stack(objs).dim
+        return objectives.Optimum(
+            z_star=np.zeros(dim), f_star=1.0, method="stub",
+            residual_norm=3e-4, converged=False, iterations=500_000,
+        )
+
+    monkeypatch.setattr(objectives, "centralized_solve", solve)
+
+
+UNCONVERGED = (
+    "error: reference solve did not converge: gradient norm 3.000e-04 after "
+    "500000 iterations\n"
+)
+
+
+def test_run_with_an_unconverged_reference_solve_exits_1(capsys, tmp_path, unconverged_solve):
+    out_csv = tmp_path / "t.csv"
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "addopt", "--graph", "fig1", "--reg", "1e-6",
+        "--m", "2", "--alpha", "0.01", "--iters", "10", "--out", str(out_csv),
+    )
+    assert (code, out, err) == (1, "", UNCONVERGED)
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("study, alpha", [
+    ("compare", "0.05"), ("sweep", "0.01:0.02:2"), ("sparsity", "0.05"),
+])
+def test_study_with_an_unconverged_reference_solve_exits_1(
+    capsys, tmp_path, unconverged_solve, study, alpha
+):
+    cfg = write_config(tmp_path, "s.ini", f"""
+[run]
+alpha = {alpha}
+iters = 10
+
+[output]
+dir = {tmp_path / "out"}
+""")
+    code, out, err = run_cli(capsys, study, "--config", cfg)
+    assert (code, out, err) == (1, "", UNCONVERGED)
+    assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
+def test_data_solve_keeps_its_unconverged_contract(capsys, tmp_path, unconverged_solve):
+    data = tmp_path / "d.csv"
+    run_cli(capsys, "data", "gen", "--n", "3", "--m", "2", "--p", "2", "--out", str(data))
+    code, out, err = run_cli(capsys, "data", "solve", "--data", str(data))
+    assert code == 1 and err == ""
+    assert out.endswith("residual_norm = 0.0003\nconverged = False\n")
+
+
+def test_config_typo_is_a_usage_error(capsys, tmp_path):
+    cfg = write_config(tmp_path, "typo.ini", f"""
+[run]
+alpha = 0.1:0.2:3
+iter = 20
+
+[output]
+dir = {tmp_path / "out"}
+""")
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}: unknown key run.iter\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_of_another_engine_is_a_usage_error(capsys, tmp_path):
+    cfg = write_config(tmp_path, "dextra.ini", f"""
+[run]
+algorithms = dextra
+alpha = 0.1:0.2:3
+
+[output]
+dir = {tmp_path / "out"}
+""")
+    code, _, err = run_cli(capsys, "sweep", "--config", cfg)
+    assert code == 2
+    assert err == "error: the stepsize study runs addopt only, got algorithms = dextra\n"

@@ -476,3 +476,61 @@ def test_config_engine_names_are_canonical(tmp_path):
     path.write_text("[run]\nalgorithms = gp, gradient_push\n")
     with pytest.raises(ConfigError, match="duplicates"):
         load_config(path)
+
+
+# ---------------------------------------------------------------------------
+# config keys and values
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[run]\niter = 20\n", "unknown key run.iter"),
+    ("[objective]\nalgorithms = dextra\n", "unknown key objective.algorithms"),
+    ("[runs]\niters = 20\n", r"unknown section \[runs\]"),
+    ("[DEFAULT]\nseed = 3\n", r"unknown section \[DEFAULT\]"),
+])
+def test_load_config_rejects_unknown_sections_and_keys(tmp_path, text, message):
+    path = tmp_path / "typo.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[objective]\nexamples = x\n", "objective.examples: invalid literal for int()"),
+    ("[objective]\nreg = heavy\n", "objective.reg: could not convert"),
+    ("[graph]\nsource = random\nnodes = ten\n", "graph.nodes: invalid literal"),
+    ("[run]\niters = 1e3\n", "run.iters: invalid literal"),
+    ("[run]\nslack = tight\n", "run.slack: could not convert"),
+    ("[run]\nalpha = fast\n", "run.alpha: cannot parse step size 'fast'"),
+    ("[sparsity]\nseeds = 1, two\n", "sparsity.seeds: invalid literal"),
+    ("[sparsity]\nstrict_nesting = maybe\n",
+     "sparsity.strict_nesting: expected true or false, got 'maybe'"),
+])
+def test_load_config_malformed_value_names_its_key(tmp_path, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).startswith(message)
+
+
+def test_shipped_configs_use_only_known_keys():
+    for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini")):
+        load_config(path)
+
+
+@pytest.mark.parametrize("algs", [("dextra",), ("addopt", "gp")])
+def test_stepsize_study_runs_addopt_only(tmp_path, algs):
+    cfg = make_config(tmp_path, alpha=("sweep", 0.1, 0.2, 3), algorithms=algs)
+    with pytest.raises(ConfigError, match="the stepsize study runs addopt only"):
+        cmd_stepsize_study(cfg)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("algs", [("dextra",), ("addopt", "gp")])
+def test_sparsity_study_runs_addopt_only(tmp_path, algs):
+    cfg = make_config(tmp_path, alpha=0.05, algorithms=algs)
+    with pytest.raises(ConfigError, match="the sparsity study runs addopt only"):
+        cmd_sparsity_study(cfg)
+    assert not list(tmp_path.glob("*.csv"))
