@@ -1,6 +1,8 @@
-"""Golden outputs of the engines: each case runs ``cli.main`` in its own
+"""Golden outputs of the CLI: each case runs ``cli.main`` in its own
 directory, and its exit code, the sha256 of its stdout and stderr, and the
-sha256 of every CSV it wrote must match ``golden_traces.json``.
+sha256 of every CSV it wrote must match ``golden_traces.json``.  The cases
+cover the engines, the certificate (``analyze``, ``graph spectrum``) and the
+reference solve (``data solve``).
 
 The digests hold for the numpy and scipy versions recorded in the manifest.
 On any other build the test compares, per CSV, the row count and, for trace
@@ -8,8 +10,9 @@ CSVs, the last ``k`` and the final residual (rtol 1e-12), and warns that
 this fallback is in use.
 
 A change that moves an output on purpose regenerates the manifest with
-``PYTHONPATH=src python tests/test_golden_traces.py`` and lists every
-changed case.
+``PYTHONPATH=src python tests/test_golden_traces.py``, which first prints
+the name of every case whose exit code or digests differ from the committed
+manifest (or ``no case changed``), and lists those cases.
 """
 
 from __future__ import annotations
@@ -27,14 +30,15 @@ import numpy as np
 import pytest
 import scipy
 
-from dirgraphopt import cli
+from dirgraphopt import cli, digraph
 
 HERE = Path(__file__).resolve().parent
 MANIFEST = HERE / "golden_traces.json"
 CONFIGS = HERE.parent / "configs"
 
-#: config files that a case writes into its directory before it runs
-CASE_CONFIGS = {
+#: input files that a case writes into its directory before it runs: the
+#: text of the file, or a function that writes it to the path it is given
+CASE_FILES = {
     "n200.ini": """
 [graph]
 source = random
@@ -72,9 +76,20 @@ iters = 300
 dir = out
 prefix = fig1_alpha50
 """,
+    "n40.graph": lambda path: digraph.save_graph(digraph.random_digraph(40, 160, 3), path),
+    # three agents holding 3, 1 and 2 examples
+    "unequal.csv": """agent,label,f1,f2
+0,1,0.5,-1.0
+0,-1,1.5,0.25
+0,1,-0.75,0.4
+1,-1,-0.3,0.8
+2,1,1.25,-0.6
+2,-1,0.2,1.1
+""",
 }
 
 RUN = ["run", "--graph", "fig1"]
+ANALYZE_FIG1 = ["analyze", "--graph", "fig1", "--l", "1.43", "--s", "0.1"]
 
 CASES = {
     "compare_fig1": ["compare", "--config", str(CONFIGS / "compare_fig1.ini")],
@@ -93,6 +108,16 @@ CASES = {
     "run_dextra_iters0": RUN + ["--alg", "dextra", "--alpha", "0.2", "--iters", "0"],
     "compare_n200_logistic": ["compare", "--config", "n200.ini"],
     "compare_fig1_alpha50": ["compare", "--config", "fig1_alpha50.ini"],
+    "analyze_fig1_sweep": ANALYZE_FIG1 + ["--sweep", "0.001:0.01:20"],
+    "analyze_fig1_default_grid": ANALYZE_FIG1,
+    "analyze_fig1_alpha": ANALYZE_FIG1 + ["--alpha", "0.001"],
+    "spectrum_fig1": ["graph", "spectrum", "fig1"],
+    "spectrum_fig1_slack_overshoot": ["graph", "spectrum", "fig1", "--slack", "1e-12"],
+    "spectrum_n40": ["graph", "spectrum", "n40.graph"],
+    "analyze_n40_slack": [
+        "analyze", "--graph", "n40.graph", "--l", "2", "--s", "0.3", "--slack", "0.01",
+    ],
+    "data_solve_unequal_counts": ["data", "solve", "--data", "unequal.csv"],
 }
 
 
@@ -103,8 +128,13 @@ def _sha256(data: bytes) -> str:
 def run_case(name: str, workdir: Path) -> dict:
     """Run case ``name`` in ``workdir``; its exit code, output digests and CSVs."""
     argv = CASES[name]
-    if argv[-1] in CASE_CONFIGS:
-        (workdir / argv[-1]).write_text(CASE_CONFIGS[argv[-1]], encoding="utf-8")
+    inputs = [arg for arg in argv if arg in CASE_FILES]
+    for arg in inputs:
+        source = CASE_FILES[arg]
+        if callable(source):
+            source(workdir / arg)
+        else:
+            (workdir / arg).write_text(source, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -115,6 +145,8 @@ def run_case(name: str, workdir: Path) -> dict:
         os.chdir(cwd)
     files = {}
     for path in sorted(workdir.rglob("*.csv")):
+        if path.name in inputs:
+            continue
         data = path.read_bytes()
         header, *rows = csv.reader(io.StringIO(data.decode("utf-8")))
         entry = {"sha256": _sha256(data), "rows": len(rows)}
@@ -169,6 +201,9 @@ if __name__ == "__main__":
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             cases[case] = run_case(case, Path(tmp))
+    old = json.loads(MANIFEST.read_text(encoding="utf-8"))["cases"] if MANIFEST.exists() else {}
+    changed = sorted(c for c in {*cases, *old} if cases.get(c) != old.get(c))
+    print("\n".join(f"changed: {c}" for c in changed) or "no case changed")
     MANIFEST.write_text(
         json.dumps(
             {"numpy": np.__version__, "scipy": scipy.__version__, "cases": cases},
