@@ -52,9 +52,10 @@ class ConvergenceProfile:
 
     ``sigma/tau/eps`` come from the mixing matrix, ``l/s`` are the uniform
     objective curvature bounds, ``y/y_minus`` bound the de-biasing scalars
-    and their inverses over the whole run, and ``c/d`` convert between the
-    plain and the contraction norm.  ``spectral`` keeps the underlying norm
-    data when the profile was built from an actual graph.
+    and their inverses over the whole run, and ``d`` bounds the contraction
+    norm by the plain one (the plain norm never exceeds the contraction
+    norm).  ``spectral`` keeps the underlying norm data when the profile was
+    built from an actual graph.
     """
 
     n: int
@@ -65,7 +66,6 @@ class ConvergenceProfile:
     eps: float
     y: float
     y_minus: float
-    c: float
     d: float
     spectral: SpectralData | None = None
 
@@ -76,10 +76,8 @@ class ConvergenceProfile:
             raise ValueError(f"sigma must lie in [0, 1), got {self.sigma}")
         if self.y < 1.0 - 1e-12 or self.y_minus < 1.0 - 1e-12:
             raise ValueError("de-biasing extremes y, y_minus are always >= 1")
-        if self.c <= 0 or self.d <= 0 or self.c * self.d < 1.0 - 1e-12:
-            raise ValueError(
-                "norm-equivalence constants need c, d > 0 and c*d >= 1"
-            )
+        if self.d < 1.0 - 1e-12:
+            raise ValueError("norm-equivalence constant d is always >= 1")
 
 
 def push_sum_extremes(
@@ -119,7 +117,6 @@ def build_profile(
         eps=spec.eps,
         y=y,
         y_minus=y_minus,
-        c=spec.c,
         d=spec.d,
         spectral=spec,
     )
@@ -136,12 +133,11 @@ def build_G(profile: ConvergenceProfile, alpha: float) -> np.ndarray:
     return np.array(
         [
             [p.sigma, 0.0, alpha],
-            [alpha * p.c * p.l * p.y_minus, eta(alpha, p.n, p.l, p.s), 0.0],
+            [alpha * p.l * p.y_minus, eta(alpha, p.n, p.l, p.s), 0.0],
             [
-                p.c * p.d * p.eps * p.l * p.y_minus
-                * (p.tau + alpha * p.l * p.y * p.y_minus),
+                p.d * p.eps * p.l * p.y_minus * (p.tau + alpha * p.l * p.y * p.y_minus),
                 alpha * p.d * p.eps * p.l**2 * p.y * p.y_minus,
-                p.sigma + alpha * p.c * p.d * p.eps * p.l * p.y_minus,
+                p.sigma + alpha * p.d * p.eps * p.l * p.y_minus,
             ],
         ]
     )
@@ -188,8 +184,8 @@ def alpha_unit_crossing(profile: ConvergenceProfile) -> float:
     p = profile
     if p.eps == 0.0:
         return math.inf
-    quad = p.c * p.d * p.eps * p.l**2 * p.y * p.y_minus**2 * (p.l + p.n * p.s)
-    lin = p.n * p.s * p.c * p.d * p.eps * p.l * p.y_minus * (1.0 - p.sigma + p.tau)
+    quad = p.d * p.eps * p.l**2 * p.y * p.y_minus**2 * (p.l + p.n * p.s)
+    lin = p.n * p.s * p.d * p.eps * p.l * p.y_minus * (1.0 - p.sigma + p.tau)
     const = p.n * p.s * (1.0 - p.sigma) ** 2
     return 2.0 * const / (lin + math.sqrt(lin**2 + 4.0 * quad * const))
 
@@ -236,12 +232,13 @@ def push_sum_envelope(spectral: SpectralData) -> tuple[float, float]:
     """Certified envelope ``max_i |y_k - n pi|_i <= big_t * gamma1**k``.
 
     The de-biasing scalars obey ``y_k - n pi = (A - A_inf)^k (1 - n pi)``,
-    and ``A - A_inf`` contracts by ``sigma`` in the norm ``|.|_S``, so
-    ``gamma1 = sigma`` and ``big_t = c d |1 - n pi|_2``.  On doubly
-    stochastic weights (and on one node) ``big_t`` is 0.
+    and ``A - A_inf`` contracts by ``sigma`` in the norm ``|.|_S``.  With
+    ``|v|_2 <= |v|_S <= d |v|_2`` that gives ``gamma1 = sigma`` and
+    ``big_t = d |1 - n pi|_2``.  On doubly stochastic weights (and on one
+    node) ``big_t`` is 0.
     """
     dev = 1.0 - spectral.n * spectral.pi
-    return spectral.sigma, spectral.c * spectral.d * float(np.linalg.norm(dev))
+    return spectral.sigma, spectral.d * float(np.linalg.norm(dev))
 
 
 @dataclass(frozen=True)
@@ -285,8 +282,6 @@ class KeyRelationReport:
     steps_checked: int
     violations: int
     worst_margin: float
-    gamma1: float
-    big_t: float
 
     @property
     def ok(self) -> bool:
@@ -298,15 +293,16 @@ def verify_key_relation(
     profile: ConvergenceProfile,
     z_star: np.ndarray,
     alpha: float,
-    gamma1: float,
-    big_t: float,
     rel_tol: float = 1e-9,
 ) -> KeyRelationReport:
     """Check ``t_k <= G t_{k-1} + H_{k-1} s_{k-1}`` elementwise along a run.
 
     ``states`` is an iterable of a tracked engine's states ``k = 0, 1, ...``,
     such as ``itertools.islice(algorithms.iterate("addopt", ...), K + 1)``;
-    it is walked once, pairwise, and not kept.  ``s_k = [|x_k|_2, 0, 0]``.
+    it is walked once, pairwise, and not kept.  ``s_k = [|x_k|_2, 0, 0]``,
+    and ``H`` decays with the certified push-sum envelope
+    ``push_sum_envelope(profile.spectral)``, so a profile without spectral
+    data raises ``ValueError``.
     A component counts as violated when it exceeds its bound by more than
     ``rel_tol`` relative slack; the worst (most negative) margin across all
     steps is reported.  Some components hold with equality (e.g. the
@@ -315,6 +311,9 @@ def verify_key_relation(
     single-step machine precision.  Fewer than two states raise
     ``ValueError``.
     """
+    if profile.spectral is None:
+        raise ValueError("profile was built without spectral data")
+    gamma1, big_t = push_sum_envelope(profile.spectral)
     g_mat = build_G(profile, alpha)
     violations = k = 0
     worst = math.inf
@@ -330,9 +329,5 @@ def verify_key_relation(
     if k == 0:
         raise ValueError("need at least two recorded states")
     return KeyRelationReport(
-        steps_checked=k,
-        violations=violations,
-        worst_margin=worst,
-        gamma1=gamma1,
-        big_t=big_t,
+        steps_checked=k, violations=violations, worst_margin=worst
     )

@@ -24,8 +24,6 @@ __all__ = [
     "is_strongly_connected",
     "uniform_weights",
     "perron_limit",
-    "tau_eps",
-    "contraction_norm",
     "spectral_data",
     "load_graph",
     "save_graph",
@@ -191,102 +189,19 @@ def perron_limit(w: WeightMatrix) -> np.ndarray:
     return pi
 
 
-def _deviation_norms(a: np.ndarray, pi: np.ndarray) -> tuple[float, float]:
-    n = a.shape[0]
-    tau = float(np.linalg.norm(a - np.eye(n), 2))
-    # I - pi 1^T is a projector, so for n >= 2 its norm is that of its
-    # complement, the rank-one pi 1^T; for n = 1 it is the zero matrix
-    eps = math.sqrt(n * pi.dot(pi)) if n > 1 else 0.0
-    return tau, eps
-
-
-def tau_eps(w: WeightMatrix) -> tuple[float, float]:
-    """Deviation norms of one mixing step: ``(|A - I|_2, |I - A_inf|_2)``.
-
-    ``|I - A_inf|_2`` is ``sqrt(n) |pi|_2`` in closed form (0 when n = 1).
-    """
-    return _deviation_norms(w.entries, perron_limit(w))
-
-
-def _contraction(
-    m: np.ndarray, slack: float | None
-) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """``(sigma, S, S^-1, d)`` for the deviation map ``m``; see contraction_norm."""
-    if slack is not None and slack <= 0:
-        raise ValueError(f"slack must be positive, got {slack}")
-    n = m.shape[0]
-    rho = float(np.max(np.abs(np.linalg.eigvals(m)))) if n > 1 else 0.0
-    if rho >= 1.0:
-        raise ValueError(
-            f"consensus-deviation spectral radius {rho:.6f} is not below 1"
-        )
-    # Keep the certified norm strictly inside the unit ball even when the
-    # requested slack would overshoot it.
-    gap = 0.5 * (1.0 - rho) if slack is None else min(slack, 0.5 * (1.0 - rho))
-    r = rho + gap
-    plain = float(np.linalg.norm(m, 2))
-    if plain <= r:
-        return plain, np.eye(n), np.eye(n), 1.0
-    p_mat = scipy.linalg.solve_discrete_lyapunov((m / r).T, np.eye(n))
-    vals, vecs = np.linalg.eigh(p_mat)
-    if not vals[0] > 0:
-        raise ValueError(
-            f"slack {slack} too small: Lyapunov solution is not positive definite"
-        )
-    # S = P^(-1/2) scaled so |S|_2 = 1: the induced matrix norm is unchanged
-    # and the norm-equivalence constant c becomes exactly 1, while
-    # d = |S^-1|_2 is the square root of P's condition number
-    s_mat = (vecs * np.sqrt(vals[0] / vals)) @ vecs.T
-    s_inv = (vecs * np.sqrt(vals / vals[0])) @ vecs.T
-    sigma = float(np.linalg.norm(s_inv @ m @ s_mat, 2))
-    if sigma > r:
-        raise ValueError(
-            f"slack {slack} too small: the computed norm exceeds rho + slack "
-            f"by {sigma - r:.3g}"
-        )
-    return sigma, s_mat, s_inv, math.sqrt(vals[-1] / vals[0])
-
-
-def contraction_norm(
-    w: WeightMatrix, slack: float | None = None
-) -> tuple[float, np.ndarray]:
-    """Weighted norm in which the consensus-deviation map strictly contracts.
-
-    Builds an invertible ``S`` such that ``|M|_S := |S^-1 M S|_2``, with
-    ``M = A - A_inf``, is below ``r = rho(M) + slack`` and below 1.  When the
-    plain spectral norm already meets ``r`` the identity is kept.  Otherwise
-    ``P`` solves the discrete Lyapunov equation ``M^T P M = r^2 (P - I)``,
-    so ``v^T M^T P M v < r^2 v^T P v`` for every ``v != 0``, and
-    ``S = P^(-1/2)``.  A Schur basis damped by ``diag(t**k)`` would give the
-    same kind of certificate but forces ``d >= t^-(n-1)``, which blows up
-    with ``n``.  ``slack=None`` targets the midpoint of the spectral gap,
-    which balances a small contraction factor against a well-conditioned
-    transform.  The conditioning of ``P`` grows like ``1 / slack``; a slack
-    near roundoff that leaves ``P`` indefinite, or that lets the computed
-    ``sigma`` exceed ``rho + slack``, raises ``ValueError``.
-
-    Returns ``(sigma, S)`` where ``sigma = |A - A_inf|_S`` is computed in the
-    returned basis and ``S`` is normalized to ``|S|_2 = 1``.
-    """
-    sigma, s_mat, _, _ = _contraction(w.entries - perron_limit(w)[:, None], slack)
-    return sigma, s_mat
-
-
 @dataclass(frozen=True)
 class SpectralData:
     """Spectral summary of a mixing matrix.
 
-    ``transform`` is the change of basis defining the contraction norm
-    ``|v|_S = |S^-1 v|_2``; ``c`` and ``d`` are the certified equivalence
-    constants ``|v|_2 <= c |v|_S`` and ``|v|_S <= d |v|_2``: ``c = |S|_2 = 1``
-    by normalization and ``d = |S^-1|_2``.
+    ``transform`` is the change of basis ``S`` defining the contraction norm
+    ``|v|_S = |S^-1 v|_2``.  It is normalized to ``|S|_2 = 1``, so
+    ``|v|_2 <= |v|_S``, and ``d = |S^-1|_2`` certifies ``|v|_S <= d |v|_2``.
     """
 
     pi: np.ndarray
     tau: float
     eps: float
     sigma: float
-    c: float
     d: float
     transform: np.ndarray
     transform_inv: np.ndarray = field(repr=False)
@@ -299,26 +214,70 @@ class SpectralData:
         """Contraction norm of a vector, or of per-node rows stacked as (n, p)."""
         return float(np.linalg.norm(self.transform_inv @ v))
 
-    def matrix_norm(self, m: np.ndarray) -> float:
-        """Induced contraction norm of an (n, n) operator."""
-        return float(np.linalg.norm(self.transform_inv @ m @ self.transform, 2))
-
 
 def spectral_data(w: WeightMatrix, slack: float | None = None) -> SpectralData:
     """Every certified constant of ``w`` from one Perron solve and one
-    Lyapunov eigendecomposition (see :func:`contraction_norm`)."""
+    Lyapunov eigendecomposition.
+
+    ``tau = |A - I|_2`` and ``eps = |I - A_inf|_2``.  ``I - pi 1^T`` is a
+    projector, so for n >= 2 its norm is that of its complement, the
+    rank-one ``pi 1^T``: ``eps = sqrt(n) |pi|_2`` in closed form (0 when
+    n = 1).
+
+    ``sigma`` is the norm of the consensus-deviation map ``M = A - A_inf`` in
+    a weighted norm ``|M|_S := |S^-1 M S|_2`` in which it strictly
+    contracts: below ``r = rho(M) + slack`` and below 1.  When the plain
+    spectral norm already meets ``r`` the identity is kept.  Otherwise ``P``
+    solves the discrete Lyapunov equation ``M^T P M = r^2 (P - I)``, so
+    ``v^T M^T P M v < r^2 v^T P v`` for every ``v != 0``, and
+    ``S = P^(-1/2)``, scaled to ``|S|_2 = 1``; ``d = |S^-1|_2`` is then the
+    square root of P's condition number.  A Schur basis damped by
+    ``diag(t**k)`` would give the same kind of certificate but forces
+    ``d >= t^-(n-1)``, which blows up with ``n``.  ``slack=None`` targets
+    the midpoint of the spectral gap, which balances a small contraction
+    factor against a well-conditioned transform.  The conditioning of ``P``
+    grows like ``1 / slack``; a slack near roundoff that leaves ``P``
+    indefinite, or that lets the computed ``sigma`` exceed ``rho + slack``,
+    raises ``ValueError``, as does a slack that is not positive.
+    """
+    if slack is not None and slack <= 0:
+        raise ValueError(f"slack must be positive, got {slack}")
+    a = w.entries
+    n = w.n
     pi = perron_limit(w)
-    tau, eps = _deviation_norms(w.entries, pi)
-    sigma, s_mat, s_inv, d = _contraction(w.entries - pi[:, None], slack)
+    tau = float(np.linalg.norm(a - np.eye(n), 2))
+    eps = math.sqrt(n * pi.dot(pi)) if n > 1 else 0.0
+    m = a - pi[:, None]
+    rho = float(np.max(np.abs(np.linalg.eigvals(m)))) if n > 1 else 0.0
+    if rho >= 1.0:
+        raise ValueError(
+            f"consensus-deviation spectral radius {rho:.6f} is not below 1"
+        )
+    # Keep the certified norm strictly inside the unit ball even when the
+    # requested slack would overshoot it.
+    gap = 0.5 * (1.0 - rho) if slack is None else min(slack, 0.5 * (1.0 - rho))
+    r = rho + gap
+    sigma = float(np.linalg.norm(m, 2))
+    if sigma <= r:
+        s_mat, s_inv, d = np.eye(n), np.eye(n), 1.0
+    else:
+        p_mat = scipy.linalg.solve_discrete_lyapunov((m / r).T, np.eye(n))
+        vals, vecs = np.linalg.eigh(p_mat)
+        if not vals[0] > 0:
+            raise ValueError(
+                f"slack {slack} too small: Lyapunov solution is not positive definite"
+            )
+        s_mat = (vecs * np.sqrt(vals[0] / vals)) @ vecs.T
+        s_inv = (vecs * np.sqrt(vals / vals[0])) @ vecs.T
+        sigma = float(np.linalg.norm(s_inv @ m @ s_mat, 2))
+        if sigma > r:
+            raise ValueError(
+                f"slack {slack} too small: the computed norm exceeds rho + slack "
+                f"by {sigma - r:.3g}"
+            )
+        d = math.sqrt(vals[-1] / vals[0])
     return SpectralData(
-        pi=pi,
-        tau=tau,
-        eps=eps,
-        sigma=sigma,
-        c=1.0,
-        d=d,
-        transform=s_mat,
-        transform_inv=s_inv,
+        pi=pi, tau=tau, eps=eps, sigma=sigma, d=d, transform=s_mat, transform_inv=s_inv
     )
 
 

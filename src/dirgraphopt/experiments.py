@@ -132,7 +132,7 @@ def parse_alpha(text: str):
 _KEYS = {
     "graph": {"source", "nodes", "extra_edges", "seed"},
     "objective": {"kind", "examples", "dim", "reg", "seed"},
-    "run": {"algorithms", "alpha", "iters", "seeds", "stop_tol", "theta", "slack"},
+    "run": {"algorithms", "alpha", "iters", "stop_tol", "theta", "slack"},
     "output": {"dir", "prefix"},
     "sparsity": {"chain_extra", "seeds", "graphs", "strict_nesting"},
 }
@@ -140,6 +140,13 @@ _KEYS = {
 
 def _names(text: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _algorithms(text: str) -> tuple[str, ...]:
+    names = _names(text)
+    if not names:
+        raise ValueError("the algorithm list is empty")
+    return names
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -158,8 +165,10 @@ def _slack(text: str) -> float | None:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a config file.  An unknown section or key, or a value that does
-    not parse, raises :class:`ConfigError` naming ``section.key``."""
+    """Parse a config file.  An unknown section or key, a value that does
+    not parse, an empty algorithm list, or a ``[graph]`` key that the source
+    does not read (``nodes``, ``extra_edges`` and ``seed`` need
+    ``source = random``) raises :class:`ConfigError` naming ``section.key``."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -197,6 +206,11 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"graph file not found: {graph[1]}")
     else:
         graph = ("builtin", source)
+    for key in ("nodes", "extra_edges", "seed"):
+        if source != "random" and parser.has_option("graph", key):
+            raise ConfigError(
+                f"graph.{key}: only read when source = random, got source = {source}"
+            )
 
     objective = get("objective.kind", str.strip, "logistic")
     if objective not in ("logistic", "quadratic"):
@@ -209,12 +223,12 @@ def load_config(path) -> ExperimentConfig:
 
     return ExperimentConfig(
         graph=graph,
-        algorithms=get("run.algorithms", _names, ("addopt",)),
+        algorithms=get("run.algorithms", _algorithms, ("addopt",)),
         alpha=get("run.alpha", parse_alpha, 0.1),
         objective=objective,
         reg=get("objective.reg", float, 1.0),
         seed=get("objective.seed", int, 0),
-        seeds=get("sparsity.seeds", _ints, get("run.seeds", _ints, ())),
+        seeds=get("sparsity.seeds", _ints, ()),
         n_examples=get("objective.examples", int, 10),
         dim=get("objective.dim", int, 3),
         iters=get("run.iters", int, 500),

@@ -235,10 +235,7 @@ def recursion_check_on_random_graphs(sigma_scale: float = 1.0) -> tuple[int, flo
         sigma = sigma_scale * profile.sigma
         spec = dataclasses.replace(profile.spectral, sigma=sigma)
         profile = dataclasses.replace(profile, sigma=sigma, spectral=spec)
-        gamma1, big_t = analysis.push_sum_envelope(spec)
-        report = analysis.verify_key_relation(
-            states, profile, opt.z_star, alpha, gamma1, big_t
-        )
+        report = analysis.verify_key_relation(states, profile, opt.z_star, alpha)
         total_violations += report.violations
         worst_margin = min(worst_margin, report.worst_margin)
     return total_violations, worst_margin

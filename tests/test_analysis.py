@@ -42,7 +42,7 @@ def abstract_profile(**overrides) -> ConvergenceProfile:
     """A pure-constants profile (no attached spectral data)."""
     base = dict(
         n=10, l=2.0, s=0.5, sigma=0.7, tau=1.2, eps=1.1,
-        y=1.9, y_minus=2.2, c=1.0, d=3.0,
+        y=1.9, y_minus=2.2, d=3.0,
     )
     base.update(overrides)
     return ConvergenceProfile(**base)
@@ -67,8 +67,8 @@ def test_profile_validation():
         abstract_profile(s=3.0)
     with pytest.raises(ValueError, match="y_minus"):
         abstract_profile(y=0.5)
-    with pytest.raises(ValueError, match="c\\*d"):
-        abstract_profile(c=0.5, d=1.0)
+    with pytest.raises(ValueError, match="d is always >= 1"):
+        abstract_profile(d=0.5)
 
 
 def test_push_sum_extremes_doubly_stochastic_ring():
@@ -109,12 +109,12 @@ def test_build_profile_bundles_certified_constants(fig1_weights, fig1_profile):
     assert p.n == 10
     assert 0.0 <= p.sigma < 1.0
     assert p.y >= 1.0 and p.y_minus >= 1.0
-    assert abs(p.c - 1.0) < 1e-12  # normalized basis
     assert p.d >= 1.0
     assert p.spectral is not None
-    tau, eps = digraph.tau_eps(fig1_weights)
-    assert p.tau == pytest.approx(tau)
-    assert p.eps == pytest.approx(eps)
+    # normalized basis: converting the S-norm to the 2-norm costs nothing
+    svd_norm = np.linalg.svd(p.spectral.transform, compute_uv=False).max()
+    assert svd_norm == pytest.approx(1.0, rel=1e-12)
+    assert (p.tau, p.eps, p.d) == (p.spectral.tau, p.spectral.eps, p.spectral.d)
 
 
 def test_build_profile_slack_controls_sigma(fig1_weights, canonical_objs):
@@ -136,11 +136,11 @@ def test_build_G_entries_match_formulas():
     e = eta(alpha, p.n, p.l, p.s)
     expected = np.array([
         [p.sigma, 0.0, alpha],
-        [alpha * p.c * p.l * p.y_minus, e, 0.0],
+        [alpha * p.l * p.y_minus, e, 0.0],
         [
-            p.c * p.d * p.eps * p.l * p.y_minus * (p.tau + alpha * p.l * p.y * p.y_minus),
+            p.d * p.eps * p.l * p.y_minus * (p.tau + alpha * p.l * p.y * p.y_minus),
             alpha * p.d * p.eps * p.l**2 * p.y * p.y_minus,
-            p.sigma + alpha * p.c * p.d * p.eps * p.l * p.y_minus,
+            p.sigma + alpha * p.d * p.eps * p.l * p.y_minus,
         ],
     ])
     np.testing.assert_allclose(build_G(p, alpha), expected, atol=1e-15)
@@ -193,7 +193,7 @@ def test_upper_bound_caps_at_inverse_total_curvature():
     # a profile with very mild mixing constants: the crossing exceeds the
     # 1/(n l) cap and the cap must win
     p = abstract_profile(sigma=0.01, tau=0.1, eps=0.1, y=1.0, y_minus=1.0,
-                         c=1.0, d=1.0, l=0.1, s=0.1, n=2)
+                         d=1.0, l=0.1, s=0.1, n=2)
     assert alpha_unit_crossing(p) > 1.0 / (p.n * p.l)
     assert alpha_upper_bound(p) == 1.0 / (p.n * p.l)
 
@@ -382,11 +382,8 @@ def test_envelope_single_node_is_zero():
 def test_key_relation_holds_on_benchmark(fig1_weights, fig1_profile,
                                          canonical_objs, canonical_opt):
     alpha = 0.5 * alpha_upper_bound(fig1_profile)
-    gamma1, big_t = push_sum_envelope(fig1_profile.spectral)
     states = islice(iterate("addopt", fig1_weights, canonical_objs, alpha), 101)
-    report = verify_key_relation(
-        states, fig1_profile, canonical_opt.z_star, alpha, gamma1, big_t
-    )
+    report = verify_key_relation(states, fig1_profile, canonical_opt.z_star, alpha)
     assert report.ok
     assert report.steps_checked == 100
     assert report.violations == 0
@@ -394,11 +391,8 @@ def test_key_relation_holds_on_benchmark(fig1_weights, fig1_profile,
 
 def test_key_relation_holds_at_zero_step(fig1_weights, fig1_profile,
                                          canonical_objs, canonical_opt):
-    gamma1, big_t = push_sum_envelope(fig1_profile.spectral)
     states = islice(iterate("addopt", fig1_weights, canonical_objs, 0.0), 101)
-    report = verify_key_relation(
-        states, fig1_profile, canonical_opt.z_star, 0.0, gamma1, big_t
-    )
+    report = verify_key_relation(states, fig1_profile, canonical_opt.z_star, 0.0)
     assert report.ok
 
 
@@ -409,13 +403,10 @@ def test_key_relation_doubly_stochastic_drops_correction():
     l, s = objectives.network_constants(objs)
     profile = build_profile(w, l, s)
     opt = objectives.centralized_solve(objs)
-    gamma1, big_t = push_sum_envelope(profile.spectral)
-    assert big_t == 0.0
+    assert push_sum_envelope(profile.spectral)[1] == 0.0
     alpha = 0.5 * alpha_upper_bound(profile)
     states = islice(iterate("addopt", w, objs, alpha), 101)
-    report = verify_key_relation(
-        states, profile, opt.z_star, alpha, gamma1, big_t
-    )
+    report = verify_key_relation(states, profile, opt.z_star, alpha)
     assert report.ok
 
 
@@ -427,12 +418,9 @@ def test_key_relation_sensitivity_catches_tight_instances():
     objs = quadratic_set(8, 3, seed=0, curvature=1.0)
     profile = build_profile(w, 1.0, 1.0)
     opt = objectives.centralized_solve(objs)
-    gamma1, big_t = push_sum_envelope(profile.spectral)
     alpha = 0.5 * alpha_upper_bound(profile)
     states = islice(iterate("addopt", w, objs, alpha), 201)
-    report = verify_key_relation(
-        states, profile, opt.z_star, alpha, gamma1, big_t
-    )
+    report = verify_key_relation(states, profile, opt.z_star, alpha)
     assert report.violations > 0
     assert report.worst_margin < 0
 
@@ -444,12 +432,9 @@ def test_key_relation_holds_on_40_node_random_digraph():
     l, s = objectives.network_constants(objs)
     profile = build_profile(w, l, s)
     opt = objectives.centralized_solve(objs)
-    gamma1, big_t = push_sum_envelope(profile.spectral)
     alpha = 0.5 * alpha_upper_bound(profile)
     states = islice(iterate("addopt", w, objs, alpha), 201)
-    report = verify_key_relation(
-        states, profile, opt.z_star, alpha, gamma1, big_t
-    )
+    report = verify_key_relation(states, profile, opt.z_star, alpha)
     assert report.ok
 
 
@@ -461,22 +446,17 @@ def test_key_relation_runs_on_a_complete_graph():
     objs = objectives.logistic_objective(data)
     l, s = objectives.network_constants(objs)
     profile = build_profile(w, l, s)
-    gamma1, big_t = push_sum_envelope(profile.spectral)
-    assert (gamma1, big_t) == (0.0, 0.0)
+    assert push_sum_envelope(profile.spectral) == (0.0, 0.0)
     opt = objectives.centralized_solve(objs)
     alpha = 0.5 * alpha_upper_bound(profile)
     states = islice(iterate("addopt", w, objs, alpha), 51)
-    report = verify_key_relation(
-        states, profile, opt.z_star, alpha, gamma1, big_t
-    )
+    report = verify_key_relation(states, profile, opt.z_star, alpha)
     assert report.ok
 
 
 def test_key_relation_needs_two_states(fig1_profile, canonical_opt):
     with pytest.raises(ValueError, match="two recorded states"):
-        verify_key_relation(
-            [], fig1_profile, canonical_opt.z_star, 0.1, 0.5, 1.0
-        )
+        verify_key_relation([], fig1_profile, canonical_opt.z_star, 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -671,3 +671,29 @@ dir = {tmp_path / "out"}
     code, _, err = run_cli(capsys, "sweep", "--config", cfg)
     assert code == 2
     assert err == "error: the stepsize study runs addopt only, got algorithms = dextra\n"
+
+
+@pytest.mark.parametrize("graph, run, message", [
+    ("", "algorithms =\n", "run.algorithms: the algorithm list is empty"),
+    ("", "seeds = 1, 2\n", "{cfg}: unknown key run.seeds"),
+    ("source = fig1\nnodes = 50\n", "",
+     "graph.nodes: only read when source = random, got source = fig1"),
+])
+def test_compare_config_error_exits_2_before_running(capsys, tmp_path, graph, run, message):
+    cfg = write_config(tmp_path, "cmp.ini", f"""
+[graph]
+{graph}
+[objective]
+kind = quadratic
+
+[run]
+alpha = 0.1
+iters = 20
+{run}
+[output]
+dir = {tmp_path / "out"}
+""")
+    code, out, err = run_cli(capsys, "compare", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(cfg=cfg)}\n"
+    assert not (tmp_path / "out").exists()

@@ -14,7 +14,6 @@ from dirgraphopt.digraph import (
     WeightMatrix,
     builtin_graph,
     complete_digraph,
-    contraction_norm,
     is_strongly_connected,
     load_graph,
     nested_chain,
@@ -23,7 +22,6 @@ from dirgraphopt.digraph import (
     ring_digraph,
     save_graph,
     spectral_data,
-    tau_eps,
     uniform_weights,
 )
 
@@ -340,48 +338,50 @@ def test_push_sum_scalars_stay_positive(params):
 # ---------------------------------------------------------------------------
 
 
-def test_tau_eps_single_node_is_zero():
-    tau, eps = tau_eps(uniform_weights(Digraph(1)))
-    assert tau == 0.0 and eps == 0.0
+def svd_norm(m: np.ndarray) -> float:
+    """Spectral norm by a full SVD: the oracle for the closed forms."""
+    return float(np.linalg.svd(m, compute_uv=False).max())
 
 
-def test_tau_eps_fig1_values(fig1_weights):
-    tau, eps = tau_eps(fig1_weights)
-    assert abs(tau - 1.25) < 0.1
-    assert abs(eps - 1.11) < 0.1
+def test_spectral_data_tau_and_eps_single_node_are_zero():
+    spec = spectral_data(uniform_weights(Digraph(1)))
+    assert spec.tau == 0.0 and spec.eps == 0.0
+
+
+def test_spectral_data_tau_and_eps_fig1_values(fig1_weights):
+    spec = spectral_data(fig1_weights)
+    assert abs(spec.tau - 1.25) < 0.1
+    assert abs(spec.eps - 1.11) < 0.1
 
 
 @given(graph_params)
 @settings(max_examples=15)
-def test_tau_eps_matches_svd_oracle(params):
+def test_spectral_data_tau_and_eps_match_svd_oracle(params):
     w = uniform_weights(random_digraph(*params))
-    a_inf = limit_matrix(w)
-    tau, eps = tau_eps(w)
-    n = w.n
-    svd_tau = np.linalg.svd(w.entries - np.eye(n), compute_uv=False).max()
-    svd_eps = np.linalg.svd(np.eye(n) - a_inf, compute_uv=False).max()
-    assert abs(tau - svd_tau) < 1e-10
-    assert abs(eps - svd_eps) < 1e-10
+    spec = spectral_data(w)
+    assert abs(spec.tau - svd_norm(w.entries - np.eye(w.n))) < 1e-10
+    assert abs(spec.eps - svd_norm(np.eye(w.n) - limit_matrix(w))) < 1e-10
 
 
-def test_contraction_norm_normal_matrix_keeps_identity():
+def test_spectral_data_normal_matrix_keeps_identity():
     # symmetric doubly-stochastic mixing: plain spectral norm already equals
     # the spectral radius, so no change of basis is needed
     g = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)])
     w = uniform_weights(g)
-    sigma, s_mat = contraction_norm(w)
+    spec = spectral_data(w)
     m = w.entries - limit_matrix(w)
     rho = np.max(np.abs(np.linalg.eigvals(m)))
-    np.testing.assert_allclose(s_mat, np.eye(4))
-    assert abs(sigma - rho) < 1e-12
+    np.testing.assert_allclose(spec.transform, np.eye(4))
+    assert abs(spec.sigma - rho) < 1e-12
 
 
-def test_contraction_norm_fig1_respects_slack(fig1_weights):
+def test_spectral_data_fig1_respects_slack(fig1_weights):
     m = fig1_weights.entries - limit_matrix(fig1_weights)
     rho = np.max(np.abs(np.linalg.eigvals(m)))
     plain = np.linalg.norm(m, 2)
     assert plain > rho + 0.01  # the certificate genuinely changes the basis
-    sigma, s_mat = contraction_norm(fig1_weights, slack=0.01)
+    spec = spectral_data(fig1_weights, slack=0.01)
+    sigma, s_mat = spec.sigma, spec.transform
     assert rho <= sigma <= rho + 0.01 + 1e-12
     assert sigma < 1.0
     # the returned value is the induced norm under S
@@ -389,36 +389,36 @@ def test_contraction_norm_fig1_respects_slack(fig1_weights):
     assert abs(sigma - np.linalg.norm(s_inv @ m @ s_mat, 2)) < 1e-10
 
 
-def test_contraction_norm_rejects_nonpositive_slack(fig1_weights):
+def test_spectral_data_rejects_nonpositive_slack(fig1_weights):
     with pytest.raises(ValueError, match="slack"):
-        contraction_norm(fig1_weights, slack=0.0)
+        spectral_data(fig1_weights, slack=0.0)
 
 
-def test_contraction_norm_rejects_indefinite_lyapunov_solution(fig1_weights, monkeypatch):
+def test_spectral_data_rejects_indefinite_lyapunov_solution(fig1_weights, monkeypatch):
     # a slack near roundoff can leave the Lyapunov solve without a positive
     # definite solution; that must be a clear error, not a NaN basis
     monkeypatch.setattr(
         digraph.scipy.linalg, "solve_discrete_lyapunov", lambda a, q: -q
     )
     with pytest.raises(ValueError, match="slack .* too small"):
-        contraction_norm(fig1_weights, slack=1e-12)
+        spectral_data(fig1_weights, slack=1e-12)
 
 
-def test_contraction_norm_rejects_slack_it_cannot_meet():
+def test_spectral_data_rejects_slack_it_cannot_meet():
     # at slack 1e-9 the Lyapunov solution is too ill-conditioned for the
     # computed norm to stay below rho + slack (it overshoots by ~7e-3)
     w = uniform_weights(random_digraph(40, 160, 3))
     with pytest.raises(ValueError, match="slack .* too small"):
-        contraction_norm(w, slack=1e-9)
-    sigma, _ = contraction_norm(w, slack=1e-6)
+        spectral_data(w, slack=1e-9)
+    sigma = spectral_data(w, slack=1e-6).sigma
     m = w.entries - limit_matrix(w)
     assert sigma <= np.max(np.abs(np.linalg.eigvals(m))) + 1e-6
 
 
-def test_contraction_norm_default_targets_gap_midpoint(fig1_weights):
+def test_spectral_data_default_targets_gap_midpoint(fig1_weights):
     m = fig1_weights.entries - limit_matrix(fig1_weights)
     rho = np.max(np.abs(np.linalg.eigvals(m)))
-    sigma, _ = contraction_norm(fig1_weights)
+    sigma = spectral_data(fig1_weights).sigma
     assert rho <= sigma <= rho + 0.5 * (1.0 - rho) + 1e-12
 
 
@@ -436,7 +436,8 @@ def test_contraction_inequality_random_vectors(params, vec_seed):
     rhs = spec.sigma * spec.vector_norm(dev)
     assert lhs <= rhs + 1e-12 * max(1.0, rhs)
     # consistency: the certified factor is the induced norm of the deviation map
-    assert abs(spec.sigma - spec.matrix_norm(m)) < 1e-10
+    induced = np.linalg.norm(spec.transform_inv @ m @ spec.transform, 2)
+    assert abs(spec.sigma - induced) < 1e-10
 
 
 @given(
@@ -451,7 +452,7 @@ def test_spectral_data_certifies_large_random_digraphs(n, seed):
     w = uniform_weights(random_digraph(n, 4 * n, seed))
     spec = spectral_data(w)
     assert spec.sigma < 1.0
-    assert abs(spec.c - 1.0) < 1e-12
+    assert svd_norm(spec.transform) == pytest.approx(1.0, rel=1e-12)
     a_inf = limit_matrix(w)
     m = w.entries - a_inf
     v = np.random.default_rng(seed).standard_normal((n, 50))
@@ -464,7 +465,7 @@ def test_spectral_data_certifies_large_random_digraphs(n, seed):
 def test_spectral_data_certified_constants(fig1_weights):
     spec = spectral_data(fig1_weights)
     # the basis is normalized so converting S-norm to 2-norm costs nothing
-    assert abs(spec.c - 1.0) < 1e-12
+    assert svd_norm(spec.transform) == pytest.approx(1.0, rel=1e-12)
     assert spec.d >= 1.0
     assert spec.sigma < 1.0
     np.testing.assert_allclose(
@@ -476,14 +477,15 @@ def test_spectral_data_certified_constants(fig1_weights):
         v = rng.standard_normal(10)
         two = np.linalg.norm(v)
         s_norm = spec.vector_norm(v)
-        assert two <= spec.c * s_norm * (1 + 1e-10)
+        assert two <= s_norm * (1 + 1e-10)
         assert s_norm <= spec.d * two * (1 + 1e-10)
 
 
 def test_spectral_data_single_node_constants():
     spec = spectral_data(uniform_weights(Digraph(1)))
     assert spec.eps == 0.0 and spec.sigma == 0.0
-    assert spec.c == 1.0 and spec.d == 1.0
+    assert svd_norm(spec.transform) == pytest.approx(1.0, rel=1e-12)
+    assert spec.d == 1.0
 
 
 @given(
@@ -494,14 +496,13 @@ def test_spectral_data_single_node_constants():
 @example(200, 9001)
 @example(13, 3)
 def test_spectral_data_closed_forms_match_svd_oracle(n, seed):
-    # eps, c and d come from closed forms and the Lyapunov eigh, S^-1 from
-    # the same eigh; an SVD of each matrix and a dense inverse are the oracle
+    # eps and d come from a closed form and the Lyapunov eigh, S^-1 from the
+    # same eigh, and S is normalized to |S|_2 = 1; an SVD of each matrix and
+    # a dense inverse are the oracle
     w = uniform_weights(random_digraph(n, min(4 * n, n * (n - 2)), seed))
     spec = spectral_data(w)
-    svd_norm = lambda m: np.linalg.svd(m, compute_uv=False).max()
     assert spec.eps == pytest.approx(svd_norm(np.eye(n) - limit_matrix(w)), rel=1e-12)
-    assert spec.c == 1.0
-    assert spec.c == pytest.approx(svd_norm(spec.transform), rel=1e-12)
+    assert svd_norm(spec.transform) == pytest.approx(1.0, rel=1e-12)
     assert spec.d == pytest.approx(svd_norm(spec.transform_inv), rel=1e-12)
     inv = np.linalg.inv(spec.transform)
     assert svd_norm(spec.transform_inv - inv) <= 1e-12 * svd_norm(inv)

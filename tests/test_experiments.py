@@ -488,6 +488,7 @@ def test_config_engine_names_are_canonical(tmp_path):
     ("[objective]\nalgorithms = dextra\n", "unknown key objective.algorithms"),
     ("[runs]\niters = 20\n", r"unknown section \[runs\]"),
     ("[DEFAULT]\nseed = 3\n", r"unknown section \[DEFAULT\]"),
+    ("[run]\nseeds = 1, 2\n", "unknown key run.seeds"),
 ])
 def test_load_config_rejects_unknown_sections_and_keys(tmp_path, text, message):
     path = tmp_path / "typo.ini"
@@ -503,6 +504,12 @@ def test_load_config_rejects_unknown_sections_and_keys(tmp_path, text, message):
     ("[run]\niters = 1e3\n", "run.iters: invalid literal"),
     ("[run]\nslack = tight\n", "run.slack: could not convert"),
     ("[run]\nalpha = fast\n", "run.alpha: cannot parse step size 'fast'"),
+    ("[run]\nalgorithms =\n", "run.algorithms: the algorithm list is empty"),
+    ("[run]\nalgorithms = , \n", "run.algorithms: the algorithm list is empty"),
+    ("[graph]\nsource = fig1\nnodes = 50\n",
+     "graph.nodes: only read when source = random, got source = fig1"),
+    ("[graph]\nextra_edges = 5\n", "graph.extra_edges: only read when source = random"),
+    ("[graph]\nsource = fig1\nseed = 3\n", "graph.seed: only read when source = random"),
     ("[sparsity]\nseeds = 1, two\n", "sparsity.seeds: invalid literal"),
     ("[sparsity]\nstrict_nesting = maybe\n",
      "sparsity.strict_nesting: expected true or false, got 'maybe'"),

@@ -201,7 +201,9 @@ if __name__ == "__main__":
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             cases[case] = run_case(case, Path(tmp))
-    old = json.loads(MANIFEST.read_text(encoding="utf-8"))["cases"] if MANIFEST.exists() else {}
+    old = {}
+    if MANIFEST.exists():
+        old = json.loads(MANIFEST.read_text(encoding="utf-8"))["cases"]
     changed = sorted(c for c in {*cases, *old} if cases.get(c) != old.get(c))
     print("\n".join(f"changed: {c}" for c in changed) or "no case changed")
     MANIFEST.write_text(
