@@ -76,6 +76,43 @@ iters = 300
 dir = out
 prefix = fig1_alpha50
 """,
+    "quadratic_stop_tol.ini": """
+[graph]
+source = fig1
+
+[objective]
+kind = quadratic
+dim = 3
+seed = 0
+
+[run]
+algorithms = addopt, dextra, gp
+alpha = 0.2
+iters = 2000
+stop_tol = 1e-10
+
+[output]
+dir = out
+prefix = quadratic_stop_tol
+""",
+    "quadratic_p1.ini": """
+[graph]
+source = fig1
+
+[objective]
+kind = quadratic
+dim = 1
+seed = 2
+
+[run]
+algorithms = addopt, dextra, gp
+alpha = 0.2
+iters = 500
+
+[output]
+dir = out
+prefix = quadratic_p1
+""",
     "n40.graph": lambda path: digraph.save_graph(digraph.random_digraph(40, 160, 3), path),
     # three agents holding 3, 1 and 2 examples
     "unequal.csv": """agent,label,f1,f2
@@ -108,6 +145,8 @@ CASES = {
     "run_dextra_iters0": RUN + ["--alg", "dextra", "--alpha", "0.2", "--iters", "0"],
     "compare_n200_logistic": ["compare", "--config", "n200.ini"],
     "compare_fig1_alpha50": ["compare", "--config", "fig1_alpha50.ini"],
+    "compare_quadratic_stop_tol": ["compare", "--config", "quadratic_stop_tol.ini"],
+    "compare_quadratic_p1": ["compare", "--config", "quadratic_p1.ini"],
     "analyze_fig1_sweep": ANALYZE_FIG1 + ["--sweep", "0.001:0.01:20"],
     "analyze_fig1_default_grid": ANALYZE_FIG1,
     "analyze_fig1_alpha": ANALYZE_FIG1 + ["--alpha", "0.001"],
