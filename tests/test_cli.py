@@ -94,16 +94,16 @@ def test_data_gen_and_solve_roundtrip(capsys, tmp_path):
 
 
 def test_data_solve_unequal_example_counts_is_pinned(capsys, tmp_path):
-    # two agents holding 2 and 1 examples; the output was recorded before the
-    # gradients were batched and must not move by a bit
+    # two agents holding 2 and 1 examples; the output was recorded with the
+    # Newton reference solve and must not move by a bit
     path = tmp_path / "two.csv"
     path.write_text("agent,label,f1,f2\n0,1,0.5,-1.0\n0,-1,1.5,0.25\n1,1,-0.3,0.8\n")
     code, out, _ = run_cli(capsys, "data", "solve", "--data", str(path))
     assert code == 0
     assert out == (
-        "z_star = -0.4100451141082118,-0.18508381987683745\n"
-        "f_star = 1.926295923860157\n"
-        "residual_norm = 6.189334170187779e-13\n"
+        "z_star = -0.41004511410793176,-0.18508381987712455\n"
+        "f_star = 1.9262959238601574\n"
+        "residual_norm = 7.48503607197361e-13\n"
         "converged = True\n"
     )
 
@@ -118,6 +118,32 @@ def test_data_solve_bad_row_names_file_and_line(capsys, tmp_path, row, message):
     code, out, err = run_cli(capsys, "data", "solve", "--data", str(path))
     assert code == 2 and out == ""
     assert err == f"error: {path} {message}\n"
+
+
+#: both commands that read a dataset file; each run in its own directory
+DATASET_COMMANDS = {
+    "data solve": ("data", "solve"),
+    "run": ("run", "--alg", "addopt", "--graph", "fig1", "--alpha", "0.05", "--out", "t.csv"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DATASET_COMMANDS))
+def test_empty_dataset_file_is_a_usage_error(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.csv").write_text("")
+    code, out, err = run_cli(capsys, *DATASET_COMMANDS[command], "--data", "empty.csv")
+    assert (code, out, err) == (2, "", "error: empty.csv: empty file\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(DATASET_COMMANDS))
+def test_header_only_dataset_file_is_a_usage_error(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "header.csv").write_text("agent,label,f1,f2\n")
+    code, out, err = run_cli(capsys, *DATASET_COMMANDS[command], "--data", "header.csv")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_data_solve_malformed_csv(capsys, tmp_path):
@@ -590,7 +616,8 @@ def test_shipped_configs_run_and_reproduce(capsys, tmp_path, monkeypatch):
 
 @pytest.fixture
 def unconverged_solve(monkeypatch):
-    """``centralized_solve`` stubbed to hit its budget, without the 10 s solve."""
+    """``centralized_solve`` stubbed to run out of its budget: no real
+    problem in this suite reaches the unconverged path."""
     def solve(objs, *args, **kwargs):
         dim = objectives.stack(objs).dim
         return objectives.Optimum(
@@ -605,6 +632,17 @@ UNCONVERGED = (
     "error: reference solve did not converge: gradient norm 3.000e-04 after "
     "500000 iterations\n"
 )
+
+
+def test_run_on_an_ill_conditioned_problem_solves_its_reference(capsys, tmp_path):
+    # ridge 1e-6 over two examples per agent: the reference solve converges
+    out_csv = tmp_path / "t.csv"
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "addopt", "--graph", "fig1", "--reg", "1e-6",
+        "--m", "2", "--p", "3", "--alpha", "0.01", "--iters", "10", "--out", str(out_csv),
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith(f"wrote {out_csv} (11 records")
 
 
 def test_run_with_an_unconverged_reference_solve_exits_1(capsys, tmp_path, unconverged_solve):

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from dirgraphopt import objectives
@@ -308,7 +309,7 @@ def test_stacked_and_total_gradient_consistency():
     z = rng.standard_normal(2)
     rows = stacked_gradient(objs, np.tile(z, (4, 1)))
     np.testing.assert_allclose(rows.sum(axis=0), total_gradient(objs, z), atol=1e-12)
-    assert total_value(objs, z) == pytest.approx(sum(o.value(z) for o in objs))
+    assert total_value(objs, z) == sum(o.value(z) for o in objs)
 
 
 def test_solver_single_quadratic():
@@ -330,6 +331,39 @@ def test_solver_canonical_logistic_instance(canonical_objs, canonical_opt):
     for _ in range(5):
         z = opt.z_star + 1e-3 * rng.standard_normal(3)
         assert total_value(canonical_objs, z) >= opt.f_star
+
+
+def test_solver_converges_on_an_ill_conditioned_problem():
+    # two examples per agent and a ridge of 1e-6: the curvature ratio is
+    # about 1e6, where a fixed-step gradient descent does not finish
+    objs = logistic_objective(generate_dataset(10, 2, 3, seed=0, reg=1e-6))
+    opt = centralized_solve(objs)
+    assert opt.converged and opt.iterations <= 30
+    assert opt.residual_norm <= 1e-12 * max(1.0, np.linalg.norm(opt.z_star))
+
+
+@pytest.mark.parametrize("seed", [*range(1, 11), 9001])
+def test_solver_matches_scipy_at_n200(seed):
+    # the n = 200 benchmark problem: 10 examples of dimension 3 per agent,
+    # reg 20, generated with the graph's seed
+    objs = logistic_objective(generate_dataset(200, 10, 3, seed=seed, reg=20.0))
+    opt = centralized_solve(objs)
+    assert opt.converged and opt.iterations <= 10
+    tol = 1e-9 * max(1.0, np.linalg.norm(opt.z_star))
+    lbfgsb = scipy.optimize.minimize(
+        lambda z: total_value(objs, z), np.zeros(3),
+        jac=lambda z: total_gradient(objs, z), method="L-BFGS-B",
+        options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 10_000},
+    ).x
+    # L-BFGS-B stops once F no longer resolves its decrease, at |grad F| of
+    # a few 1e-6, so it is only as close as strong convexity (the total
+    # ridge, 20) certifies; a root of grad F polished from its point by
+    # MINPACK's hybrid method, which never reads F, must agree to ``tol``
+    certified = np.linalg.norm(total_gradient(objs, lbfgsb)) / 20.0
+    assert np.linalg.norm(opt.z_star - lbfgsb) <= certified + tol
+    root = scipy.optimize.root(lambda z: total_gradient(objs, z), lbfgsb, method="hybr")
+    assert root.success
+    assert np.linalg.norm(opt.z_star - root.x) <= tol
 
 
 def test_gradient_step_contracts_below_curvature_ratio():
@@ -422,6 +456,58 @@ def test_stacked_quadratic_gradient_is_bit_equal(p):
         for _ in range(25)
     )
     assert_bit_equal_to_per_agent(objs, seed=p)
+
+
+def random_problem(family, n, p, seed):
+    """``n`` agents of one family; logistic agents hold 1 to 5 examples each."""
+    rng = np.random.default_rng(seed)
+    if family == "quadratic":
+        return tuple(
+            quadratic_objective(rng.standard_normal(p), rng.uniform(0.1, 3.0, p))
+            for _ in range(n)
+        )
+    counts = tuple(int(m) for m in rng.integers(1, 6, size=n))
+    return logistic_objective(unequal_count_data(counts, p, seed))
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+@pytest.mark.parametrize("n, p", [(1, 1), (1, 3), (7, 1), (7, 3), (200, 1), (200, 3)])
+def test_stacked_value_is_bit_equal_and_total_value_is_the_running_sum(family, n, p):
+    objs = random_problem(family, n, p, seed=n + p)
+    problem = stack(objs)
+    rng = np.random.default_rng(p)
+    for _ in range(10):
+        scale = 10.0 ** rng.uniform(-3, 2)
+        z_rows = scale * rng.standard_normal((n, p))
+        want = np.array([o.value(z) for o, z in zip(objs, z_rows)])
+        assert problem.value(z_rows).tobytes() == want.tobytes()
+        z = z_rows[0]
+        assert total_value(objs, z) == sum(o.value(z) for o in objs)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_stacked_hessian_matches_finite_differences(family):
+    # each agent's gradient depends on its own row only, so a central
+    # difference along coordinate k of every row at once gives column k of
+    # every agent's Hessian
+    h, worst = 1e-6, 0.0
+    for j in range(50):
+        rng = np.random.default_rng(j)
+        n, p = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+        problem = stack(random_problem(family, n, p, seed=j))
+        z_rows = rng.standard_normal((n, p))
+        hess = problem.hessian(z_rows)
+        assert hess.shape == (n, p, p)
+        fd = np.empty_like(hess)
+        for k in range(p):
+            step = np.zeros(p)
+            step[k] = h
+            fd[:, :, k] = (
+                problem.gradient(z_rows + step) - problem.gradient(z_rows - step)
+            ) / (2 * h)
+        for a, b in zip(hess, fd):
+            worst = max(worst, np.linalg.norm(b - a) / max(1.0, np.linalg.norm(a)))
+    assert worst <= 1e-5
 
 
 def test_total_gradient_keeps_the_running_sums_positive_zero():
