@@ -334,8 +334,8 @@ def test_solver_canonical_logistic_instance(canonical_objs, canonical_opt):
 
 
 def test_solver_converges_on_an_ill_conditioned_problem():
-    # two examples per agent and a ridge of 1e-6: the curvature ratio is
-    # about 1e6, where a fixed-step gradient descent does not finish
+    # two examples per agent and a ridge of 1e-6: the certified curvature
+    # ratio l/s is 2.5e7, where a fixed-step gradient descent does not finish
     objs = logistic_objective(generate_dataset(10, 2, 3, seed=0, reg=1e-6))
     opt = centralized_solve(objs)
     assert opt.converged and opt.iterations <= 30
@@ -355,8 +355,8 @@ def test_solver_matches_scipy_at_n200(seed):
         jac=lambda z: total_gradient(objs, z), method="L-BFGS-B",
         options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 10_000},
     ).x
-    # L-BFGS-B stops once F no longer resolves its decrease, at |grad F| of
-    # a few 1e-6, so it is only as close as strong convexity (the total
+    # L-BFGS-B stops once F no longer resolves its decrease, at |grad F| up
+    # to about 5e-6, so it is only as close as strong convexity (the total
     # ridge, 20) certifies; a root of grad F polished from its point by
     # MINPACK's hybrid method, which never reads F, must agree to ``tol``
     certified = np.linalg.norm(total_gradient(objs, lbfgsb)) / 20.0
