@@ -5,9 +5,14 @@ cover the engines, the certificate (``analyze``, ``graph spectrum``) and the
 reference solve (``data solve``).
 
 The digests hold for the numpy and scipy versions recorded in the manifest.
-On any other build the test compares, per CSV, the row count and, for trace
-CSVs, the last ``k`` and the final residual (rtol 1e-12), and warns that
-this fallback is in use.
+On any other build the test warns that this fallback is in use and
+compares instead: the exit code; per CSV, the row count and, for trace
+CSVs, the last ``k`` and the final residual (rtol 1e-12); and the numbers
+the case printed to stdout that :func:`stdout_numbers` parses (``alpha_bar``,
+the ``alpha,rho`` rows, ``sigma``, ``pi``, ``z_star``, ``f_star``) at
+relative tolerance ``STDOUT_RTOL``, so the cases that write no CSV
+(``analyze``, ``graph spectrum``, ``data solve``) check their certificate
+and reference solve too.
 
 A change that moves an output on purpose regenerates the manifest with
 ``PYTHONPATH=src python tests/test_golden_traces.py``, which first prints
@@ -18,6 +23,7 @@ manifest (or ``no case changed``), and lists those cases.
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -160,8 +166,33 @@ CASES = {
 }
 
 
+#: ``name = v1,v2,...`` stdout lines (``# `` prefix allowed) whose numbers the
+#: manifest records for the other-build fallback
+STDOUT_KEYS = ("alpha_bar", "sigma", "pi", "z_star", "f_star")
+#: relative tolerance of the fallback on those numbers.  The certificate and
+#: the reference solve move by about 1e-14 relative between builds (BLAS
+#: summation order); a real change moves them by far more.
+STDOUT_RTOL = 1e-10
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def stdout_numbers(text: str) -> dict[str, list[float]]:
+    """The numbers of every ``STDOUT_KEYS`` line in ``text``, and the
+    ``alpha`` and ``rho`` columns of an ``alpha,rho`` table."""
+    numbers = {}
+    lines = text.splitlines()
+    for line in lines:
+        key, sep, value = line.removeprefix("# ").partition(" = ")
+        if sep and key in STDOUT_KEYS:
+            numbers[key] = [float(v) for v in value.split(",")]
+    if "alpha,rho" in lines:
+        rows = [line.split(",") for line in lines[lines.index("alpha,rho") + 1:]]
+        numbers["alpha"] = [float(a) for a, _ in rows]
+        numbers["rho"] = [float(r) for _, r in rows]
+    return numbers
 
 
 def run_case(name: str, workdir: Path) -> dict:
@@ -198,7 +229,13 @@ def run_case(name: str, workdir: Path) -> dict:
         "stdout": _sha256(out.getvalue().encode("utf-8")),
         "stderr": _sha256(err.getvalue().encode("utf-8")),
         "files": files,
+        "numbers": stdout_numbers(out.getvalue()),
     }
+
+
+def _digests(entry: dict | None) -> dict | None:
+    """A case's exit code and digests: what the regenerator calls a change."""
+    return entry and {key: value for key, value in entry.items() if key != "numbers"}
 
 
 def _builds() -> tuple[dict, bool]:
@@ -212,6 +249,20 @@ def test_manifest_lists_every_case():
     assert sorted(manifest["cases"]) == sorted(CASES)
 
 
+def assert_matches_on_another_build(want: dict, got: dict) -> None:
+    """The fallback comparison of a case's outputs ``got`` with the manifest's ``want``."""
+    assert got["exit"] == want["exit"]
+    assert sorted(got["files"]) == sorted(want["files"])
+    for path, entry in want["files"].items():
+        have = got["files"][path]
+        assert (have["rows"], have.get("k")) == (entry["rows"], entry.get("k")), path
+        if "residual" in entry:
+            assert have["residual"] == pytest.approx(entry["residual"], rel=1e-12), path
+    assert sorted(got["numbers"]) == sorted(want["numbers"])
+    for key, values in want["numbers"].items():
+        assert got["numbers"][key] == pytest.approx(values, rel=STDOUT_RTOL), key
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_case_reproduces_its_recorded_outputs(name, tmp_path):
     manifest, same_build = _builds()
@@ -222,15 +273,34 @@ def test_case_reproduces_its_recorded_outputs(name, tmp_path):
     warnings.warn(
         f"numpy {np.__version__} / scipy {scipy.__version__} differ from the "
         f"manifest's {manifest['numpy']} / {manifest['scipy']}: comparing row "
-        "counts, k and final residuals (rtol 1e-12) instead of digests"
+        "counts, k and final residuals (rtol 1e-12) and stdout numbers "
+        f"(rtol {STDOUT_RTOL:g}) instead of digests"
     )
-    assert got["exit"] == want["exit"]
-    assert sorted(got["files"]) == sorted(want["files"])
-    for path, entry in want["files"].items():
-        have = got["files"][path]
-        assert (have["rows"], have.get("k")) == (entry["rows"], entry.get("k")), path
-        if "residual" in entry:
-            assert have["residual"] == pytest.approx(entry["residual"], rel=1e-12), path
+    assert_matches_on_another_build(want, got)
+
+
+def test_every_case_without_a_csv_records_its_stdout_numbers():
+    manifest, _ = _builds()
+    quiet = [name for name, argv in CASES.items() if argv[0] in ("analyze", "graph", "data")]
+    assert len(quiet) == 8
+    assert not any(manifest["cases"][name]["files"] for name in quiet)
+    # the slack-overshoot case exits 2 before it prints anything
+    assert [name for name in quiet if not manifest["cases"][name]["numbers"]] == [
+        "spectrum_fig1_slack_overshoot"
+    ]
+
+
+def test_fallback_catches_a_moved_certificate(tmp_path):
+    manifest, _ = _builds()
+    want = manifest["cases"]["analyze_fig1_alpha"]
+    got = run_case("analyze_fig1_alpha", tmp_path)
+    assert sorted(got["numbers"]) == ["alpha", "alpha_bar", "rho"]
+    assert_matches_on_another_build(want, got)
+    for key in got["numbers"]:
+        moved = copy.deepcopy(got)
+        moved["numbers"][key][-1] *= 1 + 100 * STDOUT_RTOL
+        with pytest.raises(AssertionError, match=key):
+            assert_matches_on_another_build(want, moved)
 
 
 if __name__ == "__main__":
@@ -243,7 +313,9 @@ if __name__ == "__main__":
     old = {}
     if MANIFEST.exists():
         old = json.loads(MANIFEST.read_text(encoding="utf-8"))["cases"]
-    changed = sorted(c for c in {*cases, *old} if cases.get(c) != old.get(c))
+    changed = sorted(
+        c for c in {*cases, *old} if _digests(cases.get(c)) != _digests(old.get(c))
+    )
     print("\n".join(f"changed: {c}" for c in changed) or "no case changed")
     MANIFEST.write_text(
         json.dumps(
