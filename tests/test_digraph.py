@@ -395,24 +395,86 @@ def test_spectral_data_rejects_nonpositive_slack(fig1_weights):
 
 
 def test_spectral_data_rejects_indefinite_lyapunov_solution(fig1_weights, monkeypatch):
-    # a slack near roundoff can leave the Lyapunov solve without a positive
-    # definite solution; that must be a clear error, not a NaN basis
+    # the doubling series sums I and positive semidefinite terms, so only a
+    # faulty eigendecomposition can report P indefinite; P is never trusted,
+    # so that must be a clear error, not a NaN basis
+    eigh = np.linalg.eigh
     monkeypatch.setattr(
-        digraph.scipy.linalg, "solve_discrete_lyapunov", lambda a, q: -q
+        digraph.np.linalg, "eigh", lambda p: (lambda vals, vecs: (-vals, vecs))(*eigh(p))
     )
     with pytest.raises(ValueError, match="slack .* too small"):
         spectral_data(fig1_weights, slack=1e-12)
 
 
-def test_spectral_data_rejects_slack_it_cannot_meet():
-    # at slack 1e-9 the Lyapunov solution is too ill-conditioned for the
-    # computed norm to stay below rho + slack (it overshoots by ~7e-3)
+def test_spectral_data_rejects_slack_it_cannot_meet(fig1_weights):
+    # below ~1e-11 the basis is too ill-conditioned for the computed norm to
+    # stay below rho + slack: on this graph slack 1e-11 overshoots by
+    # ~1.1e-11, and slack 1e-12 overshoots by ~5.8e-11 on fig1
     w = uniform_weights(random_digraph(40, 160, 3))
-    with pytest.raises(ValueError, match="slack .* too small"):
-        spectral_data(w, slack=1e-9)
+    with pytest.raises(ValueError, match="slack .* too small: the computed norm exceeds"):
+        spectral_data(w, slack=1e-11)
+    with pytest.raises(ValueError, match="slack .* too small: the computed norm exceeds"):
+        spectral_data(fig1_weights, slack=1e-12)
     sigma = spectral_data(w, slack=1e-6).sigma
     m = w.entries - limit_matrix(w)
     assert sigma <= np.max(np.abs(np.linalg.eigvals(m))) + 1e-6
+
+
+def test_spectral_data_certifies_slack_1e_9():
+    # the Lyapunov solve overshot rho + 1e-9 here by 7.3e-3; doubling meets
+    # it (sigma - rho - slack ~ -2.0e-10), confirmed by an independent SVD
+    w = uniform_weights(random_digraph(40, 160, 3))
+    spec = spectral_data(w, slack=1e-9)
+    m = w.entries - limit_matrix(w)
+    rho = np.max(np.abs(np.linalg.eigvals(m)))
+    s_inv = np.linalg.inv(spec.transform)
+    assert svd_norm(s_inv @ m @ spec.transform) <= rho + 1e-9
+    assert spec.sigma <= rho + 1e-9
+
+
+def test_spectral_data_doubling_cap_raises(fig1_weights, monkeypatch):
+    # fig1 at the default slack needs 7 squarings
+    monkeypatch.setattr(digraph, "_MAX_SQUARINGS", 6)
+    with pytest.raises(ValueError, match="slack None too small: .* did not converge"):
+        spectral_data(fig1_weights)
+    monkeypatch.setattr(digraph, "_MAX_SQUARINGS", 7)
+    assert spectral_data(fig1_weights).sigma < 1.0
+
+
+@pytest.mark.parametrize(
+    "graph", [digraph.fig1(), random_digraph(40, 160, 3), random_digraph(200, 800, 1)],
+    ids=["n10", "n40", "n200"],
+)
+@pytest.mark.parametrize("slack", [None, 0.01])
+def test_spectral_data_basis_matches_lyapunov_oracle(graph, slack):
+    # the doubling series solves the same Stein equation P = I + B^T P B,
+    # B = M / r, as scipy's discrete Lyapunov solver; the basis S = P^(-1/2)
+    # (normalized) and d = sqrt(cond P) agree to ~1e-13 (measured worst 6e-14)
+    import scipy.linalg
+
+    w = uniform_weights(graph)
+    spec = spectral_data(w, slack)
+    m = w.entries - limit_matrix(w)
+    rho = np.max(np.abs(np.linalg.eigvals(m)))
+    r = rho + (0.5 * (1.0 - rho) if slack is None else slack)
+    assert svd_norm(m) > r  # the basis changes
+    p_mat = scipy.linalg.solve_discrete_lyapunov((m / r).T, np.eye(w.n))
+    vals, vecs = np.linalg.eigh(p_mat)
+    s_mat = (vecs * np.sqrt(vals[0] / vals)) @ vecs.T
+    assert svd_norm(spec.transform - s_mat) <= 1e-12 * svd_norm(s_mat)
+    assert spec.d == pytest.approx(np.sqrt(vals[-1] / vals[0]), rel=1e-12)
+
+
+def test_spectral_data_certifies_a_1000_node_digraph():
+    # 2.0-2.5 s on a 2-core VM (the Lyapunov solve alone took ~5 s here)
+    w = uniform_weights(random_digraph(1000, 4000, 1))
+    spec = spectral_data(w)
+    assert spec.sigma < 1.0 and spec.d >= 1.0
+    m = w.entries - limit_matrix(w)
+    v = np.random.default_rng(1).standard_normal((1000, 20))
+    lhs = np.linalg.norm(spec.transform_inv @ (m @ v), axis=0)
+    rhs = spec.sigma * np.linalg.norm(spec.transform_inv @ (v - limit_matrix(w) @ v), axis=0)
+    assert np.all(lhs <= rhs * (1 + 1e-10))
 
 
 def test_spectral_data_default_targets_gap_midpoint(fig1_weights):
