@@ -51,7 +51,6 @@ __all__ = [
     "run",
     "inv_sqrt_steps",
     "write_trace_csv",
-    "read_trace_csv",
 ]
 
 #: any |x| entry beyond this signals divergence
@@ -435,14 +434,3 @@ def write_trace_csv(trace: Trace, path) -> None:
             trace.tracking_err, trace.gap,
         ):
             writer.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
-
-
-def read_trace_csv(path) -> dict[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols: dict[str, list[float]] = {name: [] for name in header}
-        for parts in reader:
-            for name, v in zip(header, parts):
-                cols[name].append(float(v))
-    return {name: np.array(vals) for name, vals in cols.items()}

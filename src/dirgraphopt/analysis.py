@@ -37,7 +37,6 @@ __all__ = [
     "spectral_radius",
     "alpha_unit_crossing",
     "alpha_upper_bound",
-    "optimal_alpha",
     "t_vector",
     "push_sum_envelope",
     "verify_key_relation",
@@ -193,18 +192,6 @@ def alpha_unit_crossing(profile: ConvergenceProfile) -> float:
 def alpha_upper_bound(profile: ConvergenceProfile) -> float:
     """Certified step-size ceiling: ``rho(G(alpha)) < 1`` for alpha below it."""
     return min(alpha_unit_crossing(profile), 1.0 / (profile.n * profile.l))
-
-
-def optimal_alpha(
-    profile: ConvergenceProfile, grid
-) -> tuple[float, float]:
-    """Grid point minimizing ``rho(G(alpha))``; ties resolve to the smaller alpha."""
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("step-size grid is empty")
-    rhos = np.array([spectral_radius(build_G(profile, a)) for a in grid])
-    idx = int(np.argmin(rhos))
-    return float(grid[idx]), float(rhos[idx])
 
 
 def t_vector(

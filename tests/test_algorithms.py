@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 from itertools import islice
 
@@ -20,7 +21,6 @@ from dirgraphopt.algorithms import (
     gradient_push_step,
     inv_sqrt_steps,
     iterate,
-    read_trace_csv,
     run,
     write_trace_csv,
 )
@@ -377,6 +377,13 @@ def test_divergence_carries_trace_up_to_last_finite_iterate(fig1_weights, algori
         np.testing.assert_array_equal(
             getattr(exc.trace, f.name), getattr(again, f.name), err_msg=f.name
         )
+
+
+def read_trace_csv(path) -> dict[str, np.ndarray]:
+    """The columns of a trace CSV, by header name."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return dict(zip(header, np.array(rows, dtype=float).T))
 
 
 def test_trace_csv_roundtrip(tmp_path, ring4, quad4):

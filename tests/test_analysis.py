@@ -20,7 +20,6 @@ from dirgraphopt.analysis import (
     build_profile,
     eta,
     fit_log_linear,
-    optimal_alpha,
     push_sum_envelope,
     push_sum_extremes,
     residual_slope,
@@ -196,35 +195,6 @@ def test_upper_bound_caps_at_inverse_total_curvature():
                          d=1.0, l=0.1, s=0.1, n=2)
     assert alpha_unit_crossing(p) > 1.0 / (p.n * p.l)
     assert alpha_upper_bound(p) == 1.0 / (p.n * p.l)
-
-
-def test_optimal_alpha_singleton_and_validation(fig1_profile):
-    a, rho = optimal_alpha(fig1_profile, [0.001])
-    assert a == 0.001
-    assert rho == pytest.approx(spectral_radius(build_G(fig1_profile, 0.001)))
-    with pytest.raises(ValueError, match="empty"):
-        optimal_alpha(fig1_profile, [])
-
-
-def test_optimal_alpha_interior_minimum(fig1_profile):
-    bound = alpha_upper_bound(fig1_profile)
-    grid = np.linspace(bound / 30, 0.99 * bound, 30)
-    best, rho_best = optimal_alpha(fig1_profile, grid)
-    assert grid[0] < best < grid[-1]
-    assert rho_best < 1.0
-    # refining the grid cannot move the minimum by more than one coarse cell
-    fine = np.linspace(bound / 30, 0.99 * bound, 300)
-    best_fine, rho_fine = optimal_alpha(fig1_profile, fine)
-    assert abs(best_fine - best) <= (grid[1] - grid[0]) + 1e-15
-    assert rho_fine <= rho_best + 1e-12
-
-
-def test_optimal_alpha_accepts_unsorted_grid(fig1_profile):
-    bound = alpha_upper_bound(fig1_profile)
-    grid = [0.9 * bound, 0.3 * bound, 0.6 * bound]
-    best, _ = optimal_alpha(fig1_profile, grid)
-    rhos = {a: spectral_radius(build_G(fig1_profile, a)) for a in grid}
-    assert best == min(grid, key=rhos.get)
 
 
 @given(st.integers(min_value=0, max_value=1000))
