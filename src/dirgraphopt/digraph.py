@@ -243,7 +243,7 @@ def spectral_data(w: WeightMatrix, slack: float | None = None) -> SpectralData:
     the roundoff of ``P >= I``; that takes ``log2(37 / ln(r / rho))``
     squarings or so, 7-8 at the default slack.  After 64 squarings it raises
     ``ValueError``: ``B`` is then not decaying, so ``r`` is not above the
-    computed ``rho``.  A Schur basis damped by ``diag(t**k)`` would give the
+    powers' true growth rate in floating point.  A Schur basis damped by ``diag(t**k)`` would give the
     same kind of certificate but forces ``d >= t^-(n-1)``, which blows up
     with ``n``.
 

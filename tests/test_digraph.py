@@ -6,6 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from dirgraphopt import digraph
@@ -449,9 +450,7 @@ def test_spectral_data_doubling_cap_raises(fig1_weights, monkeypatch):
 def test_spectral_data_basis_matches_lyapunov_oracle(graph, slack):
     # the doubling series solves the same Stein equation P = I + B^T P B,
     # B = M / r, as scipy's discrete Lyapunov solver; the basis S = P^(-1/2)
-    # (normalized) and d = sqrt(cond P) agree to ~1e-13 (measured worst 6e-14)
-    import scipy.linalg
-
+    # (normalized) and d = sqrt(cond P) agree to 1e-12 (measured worst 3.5e-14)
     w = uniform_weights(graph)
     spec = spectral_data(w, slack)
     m = w.entries - limit_matrix(w)
