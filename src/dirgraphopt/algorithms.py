@@ -24,7 +24,6 @@ states: row ``i`` of every array belongs to agent ``i``.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from collections.abc import Iterator
@@ -74,7 +73,7 @@ class DivergenceError(RuntimeError):
         self.trace: Trace | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AgentSwarm:
     """Joint state of all agents at one synchronous iteration.
 
@@ -84,6 +83,9 @@ class AgentSwarm:
     ``grad`` caches each agent's gradient at its current ``z``; two-step
     engines also keep the previous ``x`` and gradient.  ``objectives`` is the
     batched problem built by :func:`~dirgraphopt.objectives.stack`.
+
+    A step builds a new state and never writes into the arrays of the one it
+    reads: the trace recorder keeps those arrays until its block is reduced.
     """
 
     objectives: StackedProblem
@@ -107,7 +109,7 @@ class AgentSwarm:
 
 def _check_finite(x: np.ndarray, k: int) -> None:
     # ``max`` propagates NaN, so NaN fails the comparison like an overflow
-    if not np.abs(x).max() <= OVERFLOW_GUARD:
+    if not np.maximum.reduce(np.abs(x), axis=None) <= OVERFLOW_GUARD:
         raise DivergenceError(k)
 
 
@@ -132,14 +134,22 @@ def addopt_init(objectives, z0=None) -> AgentSwarm:
 
 
 def addopt_step(s: AgentSwarm, weights: WeightMatrix, alpha: float) -> AgentSwarm:
-    """One tracked push-sum iteration; all updates read the pre-step state."""
+    """One tracked push-sum iteration; all updates read the pre-step state.
+
+    Each update accumulates into its fresh mixed product, in the operation
+    order of ``x = A x - alpha w`` and ``w = A w + grad - grad_old``.  The
+    mixes call ``ndarray.dot``, which makes the same BLAS call as ``@`` on
+    2-D operands with less dispatch overhead."""
     a = weights.entries
-    x = a @ s.x - alpha * s.w
+    x = a.dot(s.x)
+    x -= alpha * s.w
     _check_finite(x, s.k + 1)
-    y = a @ s.y
+    y = a.dot(s.y)
     z = x / y[:, None]
     grad = stacked_gradient(s.objectives, z)
-    w = a @ s.w + grad - s.grad
+    w = a.dot(s.w)
+    w += grad
+    w -= s.grad
     return AgentSwarm(s.objectives, x, y, z, w, grad, s.k + 1)
 
 
@@ -158,12 +168,16 @@ def dextra_step(
     the bootstrap step ``x1 = A x0 - alpha * grad(z0)`` instead."""
     a = weights.entries
     grad = stacked_gradient(s.objectives, s.z)
+    x = a.dot(s.x)
     if s.x_prev is None:
-        x = a @ s.x - alpha * grad
+        x -= alpha * grad
     else:
-        x = s.x + a @ s.x - tilde.entries @ s.x_prev - alpha * (grad - s.grad_prev)
+        # x + A x - tilde x_prev - alpha (grad - grad_prev), in that order
+        x += s.x
+        x -= tilde.entries.dot(s.x_prev)
+        x -= alpha * (grad - s.grad_prev)
     _check_finite(x, s.k + 1)
-    y = a @ s.y
+    y = a.dot(s.y)
     z = x / y[:, None]
     return AgentSwarm(
         s.objectives, x, y, z, w=None, grad=None, k=s.k + 1,
@@ -183,10 +197,11 @@ def gradient_push_step(
 ) -> AgentSwarm:
     """Plain push-sum mix, then a subgradient correction at the de-biased point."""
     a = weights.entries
-    mixed = a @ s.x
-    y = a @ s.y
+    mixed = a.dot(s.x)
+    y = a.dot(s.y)
     z = mixed / y[:, None]
-    x = mixed - alpha_k * stacked_gradient(s.objectives, z)
+    x = alpha_k * stacked_gradient(s.objectives, z)
+    np.subtract(mixed, x, out=x)
     _check_finite(x, s.k + 1)
     return AgentSwarm(s.objectives, x, y, z, w=None, grad=None, k=s.k + 1)
 
@@ -230,13 +245,15 @@ class Trace:
 
 
 #: the trace recorder reduces a block of steps once it holds about this many
-#: state entries per array (n * p per step), so its memory is flat in n
-_RECORD_BLOCK_ELEMENTS = 2048
+#: state entries per array (n * p per step), so its memory is flat in n, or
+#: this many steps, past which the fixed cost of a reduction no longer shows
+_RECORD_BLOCK_ELEMENTS = 2**15
+_RECORD_BLOCK_STEPS = 256
 
 
 def _block_steps(n: int, p: int) -> int:
     """Steps per trace-recorder block for ``(n, p)`` states (at least one)."""
-    return max(1, _RECORD_BLOCK_ELEMENTS // (n * p))
+    return max(1, min(_RECORD_BLOCK_STEPS, _RECORD_BLOCK_ELEMENTS // (n * p)))
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
@@ -259,7 +276,10 @@ class _Recorder:
     stacked and ``consensus_err``, ``tracking_err`` and ``gap`` are computed
     for the whole block.  The means reduce each state exactly as
     ``mean(axis=0)`` does and the norms are the same ``ddot``, so every column
-    is bit-equal to computing it step by step.
+    is bit-equal to computing it step by step.  ``y_inf`` times the mean is a
+    ``matmul`` with an inner length of one: each entry is the single product
+    ``y_inf[i] * xbar[k]``, up to the sign of a zero, which the norm squares
+    away.
     """
 
     def __init__(self, target, denom, z_star, y_inf, tracked: bool):
@@ -279,8 +299,8 @@ class _Recorder:
 
     def record(self, s: AgentSwarm) -> float:
         """Keep step ``s`` and return its residual."""
-        d = (s.z - self.target).ravel()
-        res = math.sqrt(d.dot(d)) / self.denom
+        d = s.z - self.target
+        res = math.sqrt(np.vdot(d, d)) / self.denom
         self.ks.append(s.k)
         self.residual.append(res)
         self.xs.append(s.x)
@@ -296,11 +316,11 @@ class _Recorder:
             return
         x = np.array(self.xs)
         xbar = x.sum(axis=1) / self.n
-        self.consensus.append(_row_norms(x - self.y_inf * xbar[:, None, :]))
+        self.consensus.append(_row_norms(x - np.matmul(self.y_inf, xbar[:, None, :])))
         if self.tracked:
             gbar = np.array(self.grads).sum(axis=1) / self.n
             w = np.array(self.ws)
-            self.tracking.append(_row_norms(w - self.y_inf * gbar[:, None, :]))
+            self.tracking.append(_row_norms(w - np.matmul(self.y_inf, gbar[:, None, :])))
         else:
             self.tracking.append(np.full(len(self.xs), np.nan))
         self.gap.append(np.sqrt(self.n) * _row_norms(xbar - self.z_star))
@@ -425,12 +445,16 @@ def run(
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """Write ``k,residual,consensus_err,tracking_err,gap`` rows."""
+    """Write ``k,residual,consensus_err,tracking_err,gap`` rows.
+
+    The bytes are those of ``csv.writer``: ``repr`` of each float, no
+    quoting (no field holds a comma or a quote) and ``\\r\\n`` line ends.
+    """
+    ks = trace.ks.astype(int, copy=False).tolist()
+    columns = (trace.residual, trace.consensus_err, trace.tracking_err, trace.gap)
+    rows = zip(ks, *(c.tolist() for c in columns))
+    lines = ["k,residual,consensus_err,tracking_err,gap"]
+    lines += [f"{k},{r!r},{c!r},{t!r},{g!r}" for k, r, c, t, g in rows]
+    lines.append("")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "residual", "consensus_err", "tracking_err", "gap"])
-        for row in zip(
-            trace.ks, trace.residual, trace.consensus_err,
-            trace.tracking_err, trace.gap,
-        ):
-            writer.writerow([int(row[0])] + [repr(float(v)) for v in row[1:]])
+        fh.write("\r\n".join(lines))

@@ -350,12 +350,17 @@ class StackedQuadratic(StackedProblem):
 
 @dataclass(frozen=True)
 class LogisticGroup:
-    """The agents of a logistic stack that hold ``m`` examples each."""
+    """The agents of a logistic stack that hold ``m`` examples each.
+
+    The features are stored once per sign, already multiplied by the labels:
+    ``neg[i, j] = -label_j * f_j`` gives the negated margins ``neg @ z`` that
+    ``expit`` and ``logaddexp`` take, and ``pos_t`` is the transposed view of
+    ``label_j * f_j`` that projects back onto the features.
+    """
 
     rows: np.ndarray | slice  # agent indices, a slice when they are contiguous
-    features: np.ndarray  # (n_g, m, p)
-    features_t: np.ndarray  # (n_g, p, m) transposed view of ``features``
-    labels: np.ndarray  # (n_g, m)
+    neg: np.ndarray  # (n_g, m, p): -labels[:, :, None] * features
+    pos_t: np.ndarray  # (n_g, p, m): transposed view of labels[:, :, None] * features
 
 
 @dataclass(frozen=True)
@@ -366,36 +371,53 @@ class StackedLogistic(StackedProblem):
     ``matmul`` over equal-shaped blocks makes the same BLAS call per agent
     as ``features @ z``, so the result keeps the per-agent bits, while
     zero-padded examples would change the summation.
+
+    Each group holds its features multiplied by the labels (see
+    :class:`LogisticGroup`).  Multiplying by ``+-1`` is exact, so every
+    product in ``neg @ z`` and ``pos_t @ expit(neg @ z)`` is the per-agent
+    product up to sign, and the sums are the per-agent sums.  The gradient
+    subtracts the positive back-projection, ``ridge * z - pos_t @ e``, as
+    the per-agent gradient does: adding ``(-pos_t) @ e`` instead would turn
+    its ``-0.0`` into ``+0.0`` where the examples cancel exactly.
     """
 
     agents: tuple[Logistic, ...]
-    ridge: np.ndarray  # (n, 1): reg / share of each agent
+    ridge: np.ndarray  # (n, p): reg / share of each agent, repeated along the row
     groups: tuple[LogisticGroup, ...]
 
     @staticmethod
-    def _margins(g: LogisticGroup, z_rows: np.ndarray) -> np.ndarray:
-        return g.labels * np.matmul(g.features, z_rows[g.rows][:, :, None])[:, :, 0]
+    def _neg_margins(g: LogisticGroup, z_rows: np.ndarray) -> np.ndarray:
+        """``(n_g, m, 1)``: each example's ``-label * f' z`` for the group's rows."""
+        return np.matmul(g.neg, z_rows[g.rows][:, :, None])
 
     def value(self, z_rows: np.ndarray) -> np.ndarray:
         out = 0.5 * self.ridge[:, 0] * _rowwise_dot(z_rows, z_rows)
         for g in self.groups:
             # log(1 + exp(-m)) evaluated without overflow for large |m|
-            out[g.rows] += np.logaddexp(0.0, -self._margins(g, z_rows)).sum(axis=1)
+            neg_margins = self._neg_margins(g, z_rows)[:, :, 0]
+            out[g.rows] += np.logaddexp(0.0, neg_margins).sum(axis=1)
         return out
 
     def gradient(self, z_rows: np.ndarray) -> np.ndarray:
+        if len(self.groups) == 1:
+            # one group holds every row in order: no gather, no write-back
+            (g,) = self.groups
+            e = np.matmul(g.neg, z_rows[:, :, None])
+            return self.ridge * z_rows - np.matmul(g.pos_t, expit(e, out=e))[:, :, 0]
         out = self.ridge * z_rows
         for g in self.groups:
-            weights = g.labels * expit(-self._margins(g, z_rows))
-            out[g.rows] -= np.matmul(g.features_t, weights[:, :, None])[:, :, 0]
+            e = self._neg_margins(g, z_rows)
+            out[g.rows] -= np.matmul(g.pos_t, expit(e, out=e))[:, :, 0]
         return out
 
     def hessian(self, z_rows: np.ndarray) -> np.ndarray:
-        out = self._diagonal(np.broadcast_to(self.ridge, (self.n, self.dim)))
+        out = self._diagonal(self.ridge)
         for g in self.groups:
-            margins = self._margins(g, z_rows)
-            curvature = expit(margins) * expit(-margins)
-            out[g.rows] += np.matmul(g.features_t * curvature[:, None, :], g.features)
+            neg_margins = self._neg_margins(g, z_rows)[:, :, 0]
+            curvature = expit(-neg_margins) * expit(neg_margins)
+            # (label f)' diag(c) (label f) = f' diag(c) f: label**2 = 1 exactly
+            pos = g.pos_t.transpose(0, 2, 1)
+            out[g.rows] += np.matmul(g.pos_t * curvature[:, None, :], pos)
         return out
 
 
@@ -405,15 +427,16 @@ def _stack_logistic(agents: tuple[Logistic, ...]) -> StackedLogistic:
     for m in np.unique(counts):
         idx = np.flatnonzero(counts == m)
         features = np.stack([agents[i].features for i in idx])
+        pos = np.stack([agents[i].labels for i in idx])[:, :, None] * features
         contiguous = idx[-1] - idx[0] + 1 == len(idx)
         groups.append(LogisticGroup(
             # a slice indexes by view instead of by copy
             rows=slice(int(idx[0]), int(idx[-1]) + 1) if contiguous else idx,
-            features=features,
-            features_t=features.transpose(0, 2, 1),
-            labels=np.stack([agents[i].labels for i in idx]),
+            neg=-pos,
+            pos_t=pos.transpose(0, 2, 1),
         ))
-    ridge = np.array([[o.reg / o.share] for o in agents])
+    # full rows: a same-shape product is cheaper than an (n, 1) broadcast
+    ridge = np.array([[o.reg / o.share] * o.dim for o in agents])
     return StackedLogistic(agents, ridge, tuple(groups))
 
 

@@ -438,6 +438,53 @@ def test_swarm_holds_the_stacked_problem(ring4, quad4):
         assert swarm.objectives is problem
 
 
+def array_bytes(obj) -> dict:
+    """The bytes of every array reachable through dataclass ``obj``'s fields
+    (tuples and nested dataclasses included), keyed by path."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        for i, item in enumerate(value if isinstance(value, tuple) else (value,)):
+            if isinstance(item, np.ndarray):
+                out[f.name, i] = item.tobytes()
+            elif dataclasses.is_dataclass(item):
+                out.update({(f.name, i, *key): v for key, v in array_bytes(item).items()})
+    return out
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("family", ["logistic", "logistic_unequal", "quadratic"])
+def test_a_step_never_writes_into_its_input_state(fig1_weights, canonical_objs, engine, family):
+    # the recorder keeps a state's arrays until it reduces its block, so a
+    # step that wrote into them would corrupt the trace without a sound
+    if family == "logistic":
+        objs = canonical_objs
+    elif family == "logistic_unequal":
+        rng = np.random.default_rng(2)
+        counts = rng.integers(1, 4, size=10)
+        objs = objectives.logistic_objective(objectives.LogisticData(
+            tuple(rng.standard_normal((m, 3)) for m in counts),
+            tuple(rng.choice([-1.0, 1.0], m) for m in counts), reg=1.0))
+        assert len(objectives.stack(objs).groups) > 1
+    else:
+        objs = quadratic_set(10, 3, seed=5)
+    tilde = dextra_tilde(fig1_weights, 0.5)
+    init = addopt_init if engine == "addopt" else gradient_push_init
+    step, extra = {
+        "addopt": (addopt_step, ()),
+        "dextra": (dextra_step, (tilde,)),
+        "gradient_push": (gradient_push_step, ()),
+    }[engine]
+    s = init(objs, z0=np.random.default_rng(3).standard_normal((10, 3)))
+    # dextra's first step is its bootstrap, the next ones the two-step update
+    for k in range(1, 4):
+        before = array_bytes(s), array_bytes(fig1_weights), array_bytes(tilde)
+        nxt = step(s, fig1_weights, 0.05, *extra)
+        assert nxt.k == k
+        assert (array_bytes(s), array_bytes(fig1_weights), array_bytes(tilde)) == before
+        s = nxt
+
+
 # ---------------------------------------------------------------------------
 # block trace recorder: bit-equal to the per-step recorder it replaced
 # ---------------------------------------------------------------------------

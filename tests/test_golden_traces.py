@@ -12,7 +12,9 @@ the case printed to stdout that :func:`stdout_numbers` parses (``alpha_bar``,
 the ``alpha,rho`` rows, ``sigma``, ``pi``, ``z_star``, ``f_star``) at
 relative tolerance ``STDOUT_RTOL``, so the cases that write no CSV
 (``analyze``, ``graph spectrum``, ``data solve``) check their certificate
-and reference solve too.
+and reference solve too; a diverged ``run``, which writes neither, records
+the iteration of its stderr line ``error: iterate diverged at iteration K``
+as ``diverged_at``.
 
 A change that moves an output on purpose regenerates the manifest with
 ``PYTHONPATH=src python tests/test_golden_traces.py``, which first prints
@@ -29,6 +31,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -173,6 +176,8 @@ STDOUT_KEYS = ("alpha_bar", "sigma", "pi", "z_star", "f_star")
 #: the reference solve move by about 1e-14 relative between builds (BLAS
 #: summation order); a real change moves them by far more.
 STDOUT_RTOL = 1e-10
+#: the stderr line of a run that left the overflow guard
+DIVERGED = re.compile(r"^error: iterate diverged at iteration (\d+)$", re.MULTILINE)
 
 
 def _sha256(data: bytes) -> str:
@@ -192,6 +197,16 @@ def stdout_numbers(text: str) -> dict[str, list[float]]:
         rows = [line.split(",") for line in lines[lines.index("alpha,rho") + 1:]]
         numbers["alpha"] = [float(a) for a, _ in rows]
         numbers["rho"] = [float(r) for _, r in rows]
+    return numbers
+
+
+def output_numbers(stdout: str, stderr: str) -> dict[str, list[float]]:
+    """:func:`stdout_numbers`, plus the iteration ``diverged_at`` of a
+    ``DIVERGED`` line in ``stderr``."""
+    numbers = stdout_numbers(stdout)
+    diverged = DIVERGED.search(stderr)
+    if diverged:
+        numbers["diverged_at"] = [float(diverged.group(1))]
     return numbers
 
 
@@ -229,7 +244,7 @@ def run_case(name: str, workdir: Path) -> dict:
         "stdout": _sha256(out.getvalue().encode("utf-8")),
         "stderr": _sha256(err.getvalue().encode("utf-8")),
         "files": files,
-        "numbers": stdout_numbers(out.getvalue()),
+        "numbers": output_numbers(out.getvalue(), err.getvalue()),
     }
 
 
@@ -288,6 +303,23 @@ def test_every_case_without_a_csv_records_its_stdout_numbers():
     assert [name for name in quiet if not manifest["cases"][name]["numbers"]] == [
         "spectrum_fig1_slack_overshoot"
     ]
+
+
+def test_fallback_catches_a_moved_divergence_step(tmp_path):
+    manifest, _ = _builds()
+    diverged = [name for name, case in manifest["cases"].items() if case["exit"] == 1
+                and not case["files"]]
+    assert sorted(diverged) == ["run_addopt_diverged", "run_dextra_diverged"]
+    for name in diverged:
+        assert list(manifest["cases"][name]["numbers"]) == ["diverged_at"]
+    want = manifest["cases"]["run_addopt_diverged"]
+    got = run_case("run_addopt_diverged", tmp_path)
+    assert_matches_on_another_build(want, got)
+    for shift in (-1, 1):
+        moved = copy.deepcopy(got)
+        moved["numbers"]["diverged_at"][0] += shift
+        with pytest.raises(AssertionError, match="diverged_at"):
+            assert_matches_on_another_build(want, moved)
 
 
 def test_fallback_catches_a_moved_certificate(tmp_path):

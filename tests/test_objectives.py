@@ -404,12 +404,19 @@ def sequential_sum(objs, z):
 
 
 def assert_bit_equal_to_per_agent(objs, seed, points=20):
+    """Stacked and per-agent gradients agree bit for bit: at ``points``
+    random points, at half as many with saturated margins (``expit`` at 0,
+    1 or subnormal), and at ``-0.0`` rows, all of them or every other one."""
     problem = stack(objs)
     n, p = problem.n, problem.dim
     rng = np.random.default_rng(seed)
-    for _ in range(points):
-        scale = 10.0 ** rng.uniform(-3, 2)
-        z_rows = scale * rng.standard_normal((n, p))
+    scales = [10.0 ** rng.uniform(-3, 2) for _ in range(points)]
+    scales += [10.0 ** rng.uniform(2, 6) for _ in range(points // 2)]
+    z_points = [scale * rng.standard_normal((n, p)) for scale in scales]
+    z_points.append(np.full((n, p), -0.0))
+    z_points.append(z_points[0].copy())
+    z_points[-1][::2] = -0.0
+    for z_rows in z_points:
         got = stacked_gradient(problem, z_rows)
         assert got.tobytes() == per_agent_rows(objs, z_rows).tobytes()
         z = z_rows[0]
@@ -434,7 +441,7 @@ def test_stacked_logistic_groups_agents_by_example_count():
     counts = (2, 1, 2, 3, 1, 1, 5, 2)
     objs = logistic_objective(unequal_count_data(counts, 3, seed=4))
     problem = stack(objs)
-    rows = {g.features.shape[1]: np.arange(len(counts))[g.rows] for g in problem.groups}
+    rows = {g.neg.shape[1]: np.arange(len(counts))[g.rows] for g in problem.groups}
     assert sorted(rows) == [1, 2, 3, 5]
     np.testing.assert_array_equal(rows[1], [1, 4, 5])
     np.testing.assert_array_equal(rows[2], [0, 2, 7])
@@ -446,6 +453,25 @@ def test_stacked_logistic_groups_agents_by_example_count():
             assert_bit_equal_to_per_agent(
                 logistic_objective(unequal_count_data(counts, p, seed)), seed, points=5
             )
+
+
+def cancelling_data(counts, p, seed):
+    """Agents whose examples come in pairs: one feature row, once with each
+    label, so at ``z = -0.0`` the back-projection cancels to exactly zero
+    and the per-agent gradient is ``ridge * -0.0 - 0.0 = -0.0``."""
+    rng = np.random.default_rng(seed)
+    features = tuple(np.repeat(rng.standard_normal((m, p)), 2, axis=0) for m in counts)
+    labels = tuple(np.tile([1.0, -1.0], m) for m in counts)
+    return LogisticData(features, labels, reg=1.0)
+
+
+@pytest.mark.parametrize("counts", [(2,) * 7, (1, 3, 1, 2, 3, 2, 1)])
+def test_stacked_logistic_gradient_keeps_the_per_agent_signed_zero(counts):
+    objs = logistic_objective(cancelling_data(counts, 3, seed=len(counts)))
+    assert len(stack(objs).groups) == len(set(counts))
+    z_rows = np.full((len(counts), 3), -0.0)
+    assert np.signbit(per_agent_rows(objs, z_rows)).all()
+    assert_bit_equal_to_per_agent(objs, seed=len(counts), points=5)
 
 
 @pytest.mark.parametrize("p", [1, 3])
