@@ -197,11 +197,10 @@ def gradient_push_step(
 ) -> AgentSwarm:
     """Plain push-sum mix, then a subgradient correction at the de-biased point."""
     a = weights.entries
-    mixed = a.dot(s.x)
+    x = a.dot(s.x)
     y = a.dot(s.y)
-    z = mixed / y[:, None]
-    x = alpha_k * stacked_gradient(s.objectives, z)
-    np.subtract(mixed, x, out=x)
+    z = x / y[:, None]
+    x -= alpha_k * stacked_gradient(s.objectives, z)
     _check_finite(x, s.k + 1)
     return AgentSwarm(s.objectives, x, y, z, w=None, grad=None, k=s.k + 1)
 
@@ -246,7 +245,9 @@ class Trace:
 
 #: the trace recorder reduces a block of steps once it holds about this many
 #: state entries per array (n * p per step), so its memory is flat in n, or
-#: this many steps, past which the fixed cost of a reduction no longer shows
+#: once it holds this many steps: at small n * p the entry budget alone would
+#: keep thousands of states alive (32768 at n = p = 1, 1092 on fig1), and the
+#: block-edge tests, which run two blocks per case, would take that many steps
 _RECORD_BLOCK_ELEMENTS = 2**15
 _RECORD_BLOCK_STEPS = 256
 
@@ -453,8 +454,6 @@ def write_trace_csv(trace: Trace, path) -> None:
     ks = trace.ks.astype(int, copy=False).tolist()
     columns = (trace.residual, trace.consensus_err, trace.tracking_err, trace.gap)
     rows = zip(ks, *(c.tolist() for c in columns))
-    lines = ["k,residual,consensus_err,tracking_err,gap"]
-    lines += [f"{k},{r!r},{c!r},{t!r},{g!r}" for k, r, c, t, g in rows]
-    lines.append("")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join(lines))
+        fh.write("k,residual,consensus_err,tracking_err,gap\r\n")
+        fh.writelines(f"{k},{r!r},{c!r},{t!r},{g!r}\r\n" for k, r, c, t, g in rows)

@@ -382,7 +382,7 @@ class StackedLogistic(StackedProblem):
     """
 
     agents: tuple[Logistic, ...]
-    ridge: np.ndarray  # (n, p): reg / share of each agent, repeated along the row
+    ridge: np.ndarray  # (n, 1): reg / share of each agent
     groups: tuple[LogisticGroup, ...]
 
     @staticmethod
@@ -399,11 +399,6 @@ class StackedLogistic(StackedProblem):
         return out
 
     def gradient(self, z_rows: np.ndarray) -> np.ndarray:
-        if len(self.groups) == 1:
-            # one group holds every row in order: no gather, no write-back
-            (g,) = self.groups
-            e = np.matmul(g.neg, z_rows[:, :, None])
-            return self.ridge * z_rows - np.matmul(g.pos_t, expit(e, out=e))[:, :, 0]
         out = self.ridge * z_rows
         for g in self.groups:
             e = self._neg_margins(g, z_rows)
@@ -411,7 +406,7 @@ class StackedLogistic(StackedProblem):
         return out
 
     def hessian(self, z_rows: np.ndarray) -> np.ndarray:
-        out = self._diagonal(self.ridge)
+        out = self._diagonal(np.broadcast_to(self.ridge, (self.n, self.dim)))
         for g in self.groups:
             neg_margins = self._neg_margins(g, z_rows)[:, :, 0]
             curvature = expit(-neg_margins) * expit(neg_margins)
@@ -435,8 +430,7 @@ def _stack_logistic(agents: tuple[Logistic, ...]) -> StackedLogistic:
             neg=-pos,
             pos_t=pos.transpose(0, 2, 1),
         ))
-    # full rows: a same-shape product is cheaper than an (n, 1) broadcast
-    ridge = np.array([[o.reg / o.share] * o.dim for o in agents])
+    ridge = np.array([[o.reg / o.share] for o in agents])
     return StackedLogistic(agents, ridge, tuple(groups))
 
 
