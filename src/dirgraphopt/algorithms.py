@@ -120,6 +120,11 @@ def _default_z0(problem: StackedProblem, z0) -> np.ndarray:
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (n, p):
         raise ValueError(f"z0 must have shape {(n, p)}, got {z0.shape}")
+    # the comparison is false for NaN, so NaN is rejected with the overflows
+    if not np.all(np.abs(z0) <= OVERFLOW_GUARD):
+        raise ValueError(
+            f"z0 entries must be finite and at most {OVERFLOW_GUARD:g} in magnitude"
+        )
     return z0.copy()
 
 

@@ -77,25 +77,23 @@ def _cmd_data(args) -> int:
 
 def _cmd_run(args) -> int:
     g = _load_graph_arg(args.graph)
-    w = digraph.uniform_weights(g)
     if args.data:
         data = objectives.load_dataset_csv(args.data, reg=args.reg)
         if data.n_agents != g.n:
             raise experiments.ConfigError(
                 f"dataset has {data.n_agents} agents but graph has {g.n} nodes"
             )
-        objs = objectives.logistic_objective(data)
     else:
         data = objectives.generate_dataset(g.n, args.m, args.p, args.seed, reg=args.reg)
-        objs = objectives.logistic_objective(data)
+    objs = objectives.logistic_objective(data)
     alpha = experiments.parse_alpha(args.alpha)
     if isinstance(alpha, tuple):
         raise experiments.ConfigError("run needs a single step size, not a sweep")
-    z0 = None
-    if args.z0 is not None:
-        z0 = np.full((g.n, objs[0].dim), args.z0)
+    inst = experiments.prepare(g, objs)
+    z0 = None if args.z0 is None else np.full((g.n, data.dim), args.z0)
     trace = algorithms.run(
-        args.alg, w, objs, alpha, args.iters, args.stop_tol, theta=args.theta, z0=z0
+        args.alg, inst.weights, inst.problem, alpha, args.iters, args.stop_tol,
+        theta=args.theta, z0=z0, z_star=inst.optimum.z_star, pi=inst.pi,
     )
     algorithms.write_trace_csv(trace, args.out)
     print(f"wrote {args.out} ({trace.records} records, final residual "
@@ -154,9 +152,9 @@ def _cmd_study(args) -> int:
         print(f"argmin rho: alpha={best_rho.alpha!r} rho={best_rho.rho!r}")
         converged = [r for r in rows if r.converged]
         if converged:
-            best_run = min(converged, key=lambda r: r.residual_200)
+            best_run = min(converged, key=lambda r: r.residual)
             print(f"argmin residual: alpha={best_run.alpha!r} "
-                  f"residual={best_run.residual_200!r}")
+                  f"residual={best_run.residual!r}")
         else:
             print("argmin residual: no grid point converged")
         print(f"rows = {len(rows)}")

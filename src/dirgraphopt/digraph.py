@@ -93,17 +93,6 @@ class Digraph:
         self._adj = np.eye(n, dtype=bool)
         self._adj[receivers, senders] = True
 
-    def out_neighbors(self, j: int) -> tuple[int, ...]:
-        """Nodes that receive from ``j`` (always includes ``j`` itself)."""
-        return tuple(np.flatnonzero(self._adj[:, j]).tolist())
-
-    def in_neighbors(self, i: int) -> tuple[int, ...]:
-        """Nodes that send to ``i`` (always includes ``i`` itself)."""
-        return tuple(np.flatnonzero(self._adj[i]).tolist())
-
-    def out_degree(self, j: int) -> int:
-        return int(np.count_nonzero(self._adj[:, j]))
-
     @property
     def edge_count(self) -> int:
         """Number of explicit (non-self-loop) edges."""

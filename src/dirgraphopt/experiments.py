@@ -26,8 +26,10 @@ __all__ = [
     "StepsizeRow",
     "SparsityRow",
     "ComparisonReport",
+    "Instance",
     "load_config",
     "parse_alpha",
+    "prepare",
     "cmd_compare",
     "cmd_stepsize_study",
     "cmd_sparsity_study",
@@ -285,7 +287,7 @@ class StepsizeRow:
     alpha: float
     rho: float
     converged: bool
-    residual_200: float
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -327,27 +329,37 @@ def _summarize(trace: algorithms.Trace, diverged: bool = False) -> TraceSummary:
     )
 
 
-def _prepare(cfg: ExperimentConfig, graph: digraph.Digraph, seed: int) -> tuple:
-    """Mixing weights, objectives, reference optimum ``z*`` and stationary
-    vector ``pi`` of one (graph, data seed) pair."""
+@dataclass(frozen=True)
+class Instance:
+    """The problem every lane of a command runs on: the mixing ``weights``,
+    their stationary vector ``pi``, the stacked ``problem`` and its ``optimum``."""
+
+    weights: digraph.WeightMatrix
+    problem: objectives.StackedProblem
+    optimum: objectives.Optimum
+    pi: np.ndarray
+
+
+def prepare(graph: digraph.Digraph, objs) -> Instance:
+    """The :class:`Instance` of ``graph`` and ``objs``, stacked once here; raises
+    ``UnconvergedSolveError`` if the reference solve does not converge."""
     weights = digraph.uniform_weights(graph)
-    objs = build_objectives(cfg, graph.n, seed=seed)
-    opt = objectives.reference_optimum(objs)
-    return weights, objs, opt.z_star, digraph.perron_limit(weights)
+    problem = objectives.stack(objs)
+    optimum = objectives.reference_optimum(problem)
+    return Instance(weights, problem, optimum, digraph.perron_limit(weights))
 
 
 def _run_lanes(
-    cfg: ExperimentConfig, prepared: tuple, lanes, stop_tol: float
+    cfg: ExperimentConfig, inst: Instance, lanes, stop_tol: float
 ) -> Iterator[tuple[algorithms.Trace, bool]]:
-    """Run each ``(algorithm, alpha)`` lane on ``prepared``, in order, and
-    yield ``(trace, diverged)``; a diverged lane's trace ends at its last
-    finite iterate."""
-    weights, objs, z_star, pi = prepared
+    """Run each ``(algorithm, alpha)`` lane on ``inst``, in order, and yield
+    ``(trace, diverged)``; a diverged lane's trace ends at its last finite
+    iterate."""
     for name, alpha in lanes:
         try:
             trace, diverged = algorithms.run(
-                name, weights, objs, alpha, cfg.iters, stop_tol,
-                theta=cfg.theta, z_star=z_star, pi=pi,
+                name, inst.weights, inst.problem, alpha, cfg.iters, stop_tol,
+                theta=cfg.theta, z_star=inst.optimum.z_star, pi=inst.pi,
             ), False
         except algorithms.DivergenceError as exc:
             trace, diverged = exc.trace, True
@@ -384,13 +396,14 @@ def cmd_compare(cfg: ExperimentConfig) -> ComparisonReport:
     """
     if cfg.sweep is not None:
         raise ConfigError("compare needs a single step size, not a sweep")
-    prepared = _prepare(cfg, resolve_graph(cfg), cfg.seed)
+    graph = resolve_graph(cfg)
+    inst = prepare(graph, build_objectives(cfg, graph.n))
     lanes = [
         (name, "1/sqrt(k)" if name == "gradient_push" else cfg.alpha)
         for name in cfg.algorithms
     ]
     report = ComparisonReport()
-    for trace, diverged in _run_lanes(cfg, prepared, lanes, cfg.stop_tol):
+    for trace, diverged in _run_lanes(cfg, inst, lanes, cfg.stop_tol):
         algorithms.write_trace_csv(trace, _out_path(cfg, trace.algorithm))
         report.summaries[trace.algorithm] = _summarize(trace, diverged)
     _write_csv(
@@ -418,24 +431,24 @@ def cmd_stepsize_study(cfg: ExperimentConfig) -> ComparisonReport:
         raise ConfigError("stepsize study needs alpha = lo:hi:steps")
     _addopt_only(cfg, "stepsize")
     grid = [float(alpha) for alpha in np.linspace(*sweep)]
-    prepared = _prepare(cfg, resolve_graph(cfg), cfg.seed)
-    weights, objs, _, _ = prepared
-    l, s = objectives.network_constants(objs)
-    profile = analysis.build_profile(weights, l, s, cfg.slack)
+    graph = resolve_graph(cfg)
+    inst = prepare(graph, build_objectives(cfg, graph.n))
+    l, s = objectives.network_constants(inst.problem.agents)
+    profile = analysis.build_profile(inst.weights, l, s, cfg.slack)
 
     rows = []
     lanes = [("addopt", alpha) for alpha in grid]
-    for alpha, (trace, diverged) in zip(grid, _run_lanes(cfg, prepared, lanes, 0.0)):
+    for alpha, (trace, diverged) in zip(grid, _run_lanes(cfg, inst, lanes, 0.0)):
         residual = float("inf") if diverged else trace.final_residual
         rows.append(StepsizeRow(
             alpha=alpha,
             rho=analysis.spectral_radius(analysis.build_G(profile, alpha)),
             converged=bool(np.isfinite(residual) and residual < 1.0),
-            residual_200=residual,
+            residual=residual,
         ))
     _write_csv(
         cfg, "stepsize", ["alpha", "rho", "converged", f"residual_{cfg.iters}"],
-        ([repr(r.alpha), repr(r.rho), int(r.converged), repr(r.residual_200)] for r in rows),
+        ([repr(r.alpha), repr(r.rho), int(r.converged), repr(r.residual)] for r in rows),
     )
     return ComparisonReport(
         alpha_bar=analysis.alpha_upper_bound(profile), stepsize_table=rows
@@ -476,8 +489,8 @@ def cmd_sparsity_study(cfg: ExperimentConfig) -> ComparisonReport:
     rows: list[SparsityRow] = []
     for label, g in _sparsity_graphs(cfg):
         for seed in seeds:
-            lane = [("addopt", cfg.alpha)]
-            [(trace, diverged)] = _run_lanes(cfg, _prepare(cfg, g, seed), lane, 0.0)
+            inst = prepare(g, build_objectives(cfg, g.n, seed))
+            [(trace, diverged)] = _run_lanes(cfg, inst, [("addopt", cfg.alpha)], 0.0)
             if diverged:
                 k = trace.iterations + 1
                 raise algorithms.DivergenceError(

@@ -338,7 +338,7 @@ def test_criterion_11_predicted_best_step_matches_measured(tmp_path):
     rows = report.stepsize_table
     rho_idx = min(range(len(rows)), key=lambda i: rows[i].rho)
     converged = [i for i in range(len(rows)) if rows[i].converged]
-    res_idx = min(converged, key=lambda i: rows[i].residual_200)
+    res_idx = min(converged, key=lambda i: rows[i].residual)
     ok = bool(converged) and abs(rho_idx - res_idx) <= 1
     record_acceptance(
         11,

@@ -336,6 +336,8 @@ def test_iterate_checks_its_arguments_when_called(ring4, quad4):
         iterate("dextra", ring4, quad4, 0.1, theta=0.7)
     with pytest.raises(ValueError, match="shape"):
         iterate("addopt", ring4, quad4, 0.1, z0=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        iterate("gp", ring4, quad4, 0.1, z0=np.full((4, 2), np.nan))
 
 
 def test_iterate_is_endless_and_starts_every_engine_at_k0(ring4, quad4):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,32 @@ def test_run_with_matching_dataset_and_z0(capsys, tmp_path):
         "--z0", "0.5", "--out", str(out_csv),
     )
     assert code == 0 and out_csv.exists()
+
+
+Z0_REJECTED = "error: z0 entries must be finite and at most 1e+150 in magnitude\n"
+
+
+@pytest.mark.parametrize("z0, code, err", [
+    ("nan", 2, Z0_REJECTED),
+    ("inf", 2, Z0_REJECTED),
+    ("1e151", 2, Z0_REJECTED),
+    ("1e300", 2, Z0_REJECTED),
+    # within the overflow guard: the start state runs, and its first step leaves it
+    ("1e150", 1, "error: iterate diverged at iteration 1\n"),
+], ids=["nan", "inf", "1e151", "1e300", "1e150"])
+def test_run_rejects_a_start_state_outside_the_overflow_guard(
+    capsys, tmp_path, z0, code, err
+):
+    out_csv = tmp_path / "t.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(
+            capsys, "run", "--alg", "addopt", "--graph", "fig1", "--alpha", "0.05",
+            "--iters", "50", "--z0", z0, "--out", str(out_csv),
+        )
+    assert result == (code, "", err)
+    assert [str(w.message) for w in caught] == []
+    assert not out_csv.exists()
 
 
 def test_run_on_graph_file(capsys, tmp_path):
@@ -607,6 +634,43 @@ def test_shipped_configs_run_and_reproduce(capsys, tmp_path, monkeypatch):
             ]
         outputs.append({p.name: p.read_bytes() for p in Path("out").glob("*.csv")})
     assert outputs[0] == outputs[1]
+
+
+def test_run_run_data_and_compare_write_the_same_trace(capsys, tmp_path):
+    # all three set up (fig1, seed-4 data) through experiments.prepare
+    flags = ["--alg", "addopt", "--graph", "fig1", "--alpha", "0.05", "--iters", "300"]
+    data_flags = ["--m", "10", "--p", "3", "--seed", "4", "--reg", "1.0"]
+    data_csv = tmp_path / "data.csv"
+    for argv in (
+        ["run", *flags, *data_flags, "--out", str(tmp_path / "run.csv")],
+        ["data", "gen", "--n", "10", *data_flags, "--out", str(data_csv)],
+        ["run", *flags, "--data", str(data_csv), "--out", str(tmp_path / "run_data.csv")],
+    ):
+        assert run_cli(capsys, *argv)[0] == 0
+    cfg = write_config(tmp_path, "cmp.ini", f"""
+[graph]
+source = fig1
+
+[objective]
+kind = logistic
+examples = 10
+dim = 3
+reg = 1.0
+seed = 4
+
+[run]
+algorithms = addopt
+alpha = 0.05
+iters = 300
+
+[output]
+dir = {tmp_path / "out"}
+prefix = cmp
+""")
+    assert run_cli(capsys, "compare", "--config", cfg)[0] == 0
+    expected = (tmp_path / "run.csv").read_bytes()
+    assert (tmp_path / "run_data.csv").read_bytes() == expected
+    assert (tmp_path / "out" / "cmp_addopt.csv").read_bytes() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ graph_params = st.tuples(
 def test_single_node_graph():
     g = Digraph(1)
     assert g.n == 1 and g.edges == () and g.edge_count == 0
-    assert g.out_neighbors(0) == (0,) and g.in_neighbors(0) == (0,)
+    assert g.adjacency().tolist() == [[True]]
 
 
 def test_rejects_nonpositive_node_count():
@@ -81,10 +81,10 @@ def test_rejects_first_bad_edge_in_input_order():
 
 def test_neighbors_include_self_and_match_edges():
     g = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-    assert g.out_neighbors(0) == (0, 1)
-    assert g.in_neighbors(0) == (0, 2)
-    assert g.out_degree(0) == 2
     adj = g.adjacency()
+    assert np.flatnonzero(adj[:, 0]).tolist() == [0, 1]  # receivers of 0
+    assert np.flatnonzero(adj[0]).tolist() == [0, 2]  # senders to 0
+    assert np.count_nonzero(adj[:, 0]) == 2  # out-degree of 0
     assert adj[1, 0] and adj[2, 1] and adj[0, 2]
     assert np.all(np.diag(adj))
     assert adj.sum() == 3 + 3  # three edges plus the diagonal
@@ -143,10 +143,12 @@ def test_strong_connectivity_matches_transitive_closure(case):
     n, edges = case
     g = Digraph(n, edges)
     assert is_strongly_connected(g) == _reaches_all(n, edges)
+    adj = g.adjacency()
     for v in range(n):
-        assert g.out_neighbors(v) == tuple(sorted({v} | {i for j, i in edges if j == v}))
-        assert g.in_neighbors(v) == tuple(sorted({v} | {j for j, i in edges if i == v}))
-        assert g.out_degree(v) == len(g.out_neighbors(v))
+        receivers = sorted({v} | {i for j, i in edges if j == v})
+        assert np.flatnonzero(adj[:, v]).tolist() == receivers
+        assert np.flatnonzero(adj[v]).tolist() == sorted({v} | {j for j, i in edges if i == v})
+        assert np.count_nonzero(adj[:, v]) == len(receivers)
 
 
 def test_fig1_is_strongly_connected():

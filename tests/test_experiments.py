@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -367,7 +368,29 @@ def test_stepsize_study_flags_divergent_grid_points(tmp_path):
     # once diverged, the recorded residual is infinite
     for row in report.stepsize_table:
         if not row.converged:
-            assert not np.isfinite(row.residual_200) or row.residual_200 >= 1.0
+            assert not np.isfinite(row.residual) or row.residual >= 1.0
+
+
+def test_each_study_stacks_its_problem_once(tmp_path, monkeypatch):
+    # the reference solve and every lane share the one stacked problem that
+    # experiments.prepare builds for the (graph, seed) pair
+    stacks = []
+    stack_logistic = objectives._stack_logistic
+
+    def counting(agents):
+        stacks.append(len(agents))
+        return stack_logistic(agents)
+
+    monkeypatch.setattr(objectives, "_stack_logistic", counting)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    sweep = dataclasses.replace(load_config(configs / "stepsize_fig1.ini"), out_dir=tmp_path)
+    assert len(cmd_stepsize_study(sweep).stepsize_table) == 10
+    assert stacks == [10]
+    stacks.clear()
+    cmd_compare(make_config(
+        tmp_path, algorithms=("addopt", "dextra", "gp"), objective="logistic", iters=50
+    ))
+    assert stacks == [10]
 
 
 # ---------------------------------------------------------------------------
