@@ -31,13 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import WeightMatrix, perron_limit
-from .objectives import StackedProblem, reference_optimum, stack, stacked_gradient
+from .digraph import WeightMatrix
+from .objectives import Optimum, StackedProblem, stack, stacked_gradient
 
 __all__ = [
     "OVERFLOW_GUARD",
     "ALGORITHMS",
     "DivergenceError",
+    "Instance",
     "AgentSwarm",
     "Trace",
     "addopt_init",
@@ -71,6 +72,18 @@ class DivergenceError(RuntimeError):
         super().__init__(message or f"iterate diverged at iteration {iteration}")
         self.iteration = iteration
         self.trace: Trace | None = None
+
+
+@dataclass(frozen=True)
+class Instance:
+    """The problem every lane of a command runs on: the mixing ``weights``,
+    their stationary vector ``pi``, the stacked ``problem`` and its ``optimum``,
+    as :func:`~dirgraphopt.experiments.prepare` builds them together."""
+
+    weights: WeightMatrix
+    problem: StackedProblem
+    optimum: Optimum
+    pi: np.ndarray
 
 
 @dataclass(slots=True)
@@ -228,7 +241,6 @@ class Trace:
 
     algorithm: str
     alpha_label: str
-    z_star: np.ndarray
     ks: np.ndarray
     residual: np.ndarray
     consensus_err: np.ndarray
@@ -339,7 +351,6 @@ class _Recorder:
         return Trace(
             algorithm=algorithm,
             alpha_label=alpha_label,
-            z_star=self.z_star,
             ks=np.array(self.ks),
             residual=np.array(self.residual),
             consensus_err=np.concatenate(self.consensus),
@@ -351,25 +362,20 @@ class _Recorder:
 def _step_rule(algorithm: str, alpha):
     """Engine name, step rule ``k -> alpha_k`` and step label of a run.
 
-    ``alpha`` is a constant step for the tracked engines; the baseline also
-    accepts a callable ``k -> alpha_k`` or the string ``"1/sqrt(k)"``.
+    ``alpha`` is a constant step; the baseline also accepts the string
+    ``"1/sqrt(k)"``.
     """
     engine = ALGORITHMS.get(algorithm)
     if engine is None:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}")
-    if callable(alpha):
-        alpha_fn = alpha
-        alpha_label = getattr(alpha, "__name__", "callable")
-    elif isinstance(alpha, str):
+    if isinstance(alpha, str):
         if alpha.replace(" ", "") != "1/sqrt(k)":
             raise ValueError(f"unrecognized step-size spec {alpha!r}")
-        alpha_fn, alpha_label = inv_sqrt_steps, "1/sqrt(k)"
-    else:
-        const = float(alpha)
-        alpha_fn, alpha_label = (lambda k: const), repr(const)
-    if engine != "gradient_push" and (callable(alpha) or isinstance(alpha, str)):
-        raise ValueError(f"{engine} requires a constant step size")
-    return engine, alpha_fn, alpha_label
+        if engine != "gradient_push":
+            raise ValueError(f"{engine} requires a constant step size")
+        return engine, inv_sqrt_steps, "1/sqrt(k)"
+    const = float(alpha)
+    return engine, (lambda k: const), repr(const)
 
 
 def iterate(
@@ -378,8 +384,9 @@ def iterate(
 ) -> Iterator[AgentSwarm]:
     """Yield the states ``k = 0, 1, 2, ...`` of one engine, without end.
 
-    The arguments are those of :func:`run` and are checked by this call, not
-    at the first ``next()``.  A step that leaves the overflow guard raises
+    ``weights`` and ``objectives`` are those of an :class:`Instance`, the
+    rest those of :func:`run`; all are checked by this call, not at the first
+    ``next()``.  A step that leaves the overflow guard raises
     :class:`DivergenceError` from ``next()``.  Take a finite run with
     ``itertools.islice(iterate(...), K + 1)``.
     """
@@ -406,34 +413,28 @@ def iterate(
 
 def run(
     algorithm: str,
-    weights: WeightMatrix,
-    objectives,
+    inst: Instance,
     alpha,
     max_iters: int,
     stop_tol: float = 0.0,
     *,
     z0=None,
     theta: float = 0.5,
-    z_star: np.ndarray | None = None,
-    pi: np.ndarray | None = None,
 ) -> Trace:
-    """Record :func:`iterate` for ``max_iters`` iterations (or until ``stop_tol``).
+    """Record :func:`iterate` on ``inst`` for ``max_iters`` iterations (or
+    until the residual reaches ``stop_tol``).
 
-    Residuals are measured against ``z_star`` (from
-    :func:`~dirgraphopt.objectives.reference_optimum` when not supplied).
+    Residuals and the gap are measured against ``inst.optimum.z_star``, the
+    consensus and tracking errors against the ray of ``inst.pi``.
     Deterministic: same inputs, same trace.  ``max_iters = 0`` records the
     start state only; a negative count raises ``ValueError``.
     """
     engine, _, alpha_label = _step_rule(algorithm, alpha)
     if max_iters < 0:
         raise ValueError(f"iteration count must be non-negative, got {max_iters}")
-    problem = stack(objectives)
-    if z_star is None:
-        z_star = reference_optimum(problem).z_star
-    if pi is None:
-        pi = perron_limit(weights)
+    z_star, pi = inst.optimum.z_star, inst.pi
 
-    states = iterate(engine, weights, problem, alpha, z0=z0, theta=theta)
+    states = iterate(engine, inst.weights, inst.problem, alpha, z0=z0, theta=theta)
     s = next(states)
     target = np.tile(z_star, (s.n, 1))
     denom = float(np.linalg.norm(s.z - target)) or 1.0

@@ -79,23 +79,26 @@ class ConvergenceProfile:
             raise ValueError("norm-equivalence constant d is always >= 1")
 
 
-def push_sum_extremes(
-    weights: WeightMatrix, tol: float = 1e-12, max_iters: int = 200_000
-) -> tuple[float, float]:
+#: where :func:`push_sum_extremes` stops: the distance to the limit, the step budget
+_PUSH_SUM_TOL = 1e-12
+_PUSH_SUM_MAX_STEPS = 200_000
+
+
+def push_sum_extremes(weights: WeightMatrix) -> tuple[float, float]:
     """Suprema of the de-biasing scalars and their inverses over all k.
 
     Iterates ``y <- A y`` from the all-ones vector, keeping running maxima of
-    ``max_i y_i`` and ``1 / min_i y_i`` until y is within ``tol`` of its
-    limit ``n pi``; the limit values are folded into the maxima.
+    ``max_i y_i`` and ``1 / min_i y_i`` until y is within ``_PUSH_SUM_TOL``
+    of its limit ``n pi``; the limit values are folded into the maxima.
     """
     limit = weights.n * perron_limit(weights)
     y = np.ones(weights.n)
     hi = 1.0
     lo_inv = 1.0
-    for _ in range(max_iters):
+    for _ in range(_PUSH_SUM_MAX_STEPS):
         hi = max(hi, float(y.max()))
         lo_inv = max(lo_inv, 1.0 / float(y.min()))
-        if float(np.max(np.abs(y - limit))) <= tol:
+        if float(np.max(np.abs(y - limit))) <= _PUSH_SUM_TOL:
             break
         y = weights.entries @ y
     return max(hi, float(limit.max())), max(lo_inv, 1.0 / float(limit.min()))
@@ -250,16 +253,26 @@ def fit_log_linear(xs: np.ndarray, ys: np.ndarray) -> LinearFit:
     return LinearFit(float(slope), float(intercept), r2, int(xs.size))
 
 
-def residual_slope(
-    trace: Trace, lo: float = 1e-12, hi: float = 1.0
-) -> LinearFit:
-    """Linear-rate fit of the log-residual over the window ``lo < r <= hi``.
+#: residuals at or below this floor are left out of :func:`residual_slope`
+_FIT_FLOOR = 1e-12
 
-    Iterations at or below ``lo`` are excluded: once a residual hits the
-    numeric floor its value carries no rate information.
+
+def residual_slope(trace: Trace, hi: float = 1.0) -> LinearFit:
+    """Linear-rate fit of the log-residual over the window
+    ``_FIT_FLOOR < r <= hi``.
+
+    Iterations at or below ``_FIT_FLOOR`` are excluded: once a residual hits
+    the numeric floor its value carries no rate information.
     """
-    mask = (trace.residual > lo) & (trace.residual <= hi)
+    mask = (trace.residual > _FIT_FLOOR) & (trace.residual <= hi)
     return fit_log_linear(trace.ks[mask], trace.residual[mask])
+
+
+#: Some components of the recursion hold with equality (e.g. the mean-error
+#: row at ``alpha = 0``), so a violation needs this much relative slack: the
+#: accumulated-roundoff scale of a long trajectory rather than single-step
+#: machine precision.
+_KEY_RELATION_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -276,11 +289,7 @@ class KeyRelationReport:
 
 
 def verify_key_relation(
-    states,
-    profile: ConvergenceProfile,
-    z_star: np.ndarray,
-    alpha: float,
-    rel_tol: float = 1e-9,
+    states, profile: ConvergenceProfile, z_star: np.ndarray, alpha: float
 ) -> KeyRelationReport:
     """Check ``t_k <= G t_{k-1} + H_{k-1} s_{k-1}`` elementwise along a run.
 
@@ -291,12 +300,8 @@ def verify_key_relation(
     ``push_sum_envelope(profile.spectral)``, so a profile without spectral
     data raises ``ValueError``.
     A component counts as violated when it exceeds its bound by more than
-    ``rel_tol`` relative slack; the worst (most negative) margin across all
-    steps is reported.  Some components hold with equality (e.g. the
-    mean-error row at ``alpha = 0``), so the default tolerance sits at the
-    accumulated-roundoff scale of a long trajectory rather than at
-    single-step machine precision.  Fewer than two states raise
-    ``ValueError``.
+    ``_KEY_RELATION_RTOL`` relative slack; the worst (most negative) margin
+    across all steps is reported.  Fewer than two states raise ``ValueError``.
     """
     if profile.spectral is None:
         raise ValueError("profile was built without spectral data")
@@ -311,7 +316,7 @@ def verify_key_relation(
         bound = g_mat @ t_prev + h_prev @ s_prev
         slack = bound - t_cur
         worst = min(worst, float(slack.min()))
-        tol = rel_tol * np.maximum(1.0, np.abs(bound))
+        tol = _KEY_RELATION_RTOL * np.maximum(1.0, np.abs(bound))
         violations += int(np.sum(slack < -tol))
     if k == 0:
         raise ValueError("need at least two recorded states")

@@ -79,10 +79,6 @@ def _cmd_run(args) -> int:
     g = _load_graph_arg(args.graph)
     if args.data:
         data = objectives.load_dataset_csv(args.data, reg=args.reg)
-        if data.n_agents != g.n:
-            raise experiments.ConfigError(
-                f"dataset has {data.n_agents} agents but graph has {g.n} nodes"
-            )
     else:
         data = objectives.generate_dataset(g.n, args.m, args.p, args.seed, reg=args.reg)
     objs = objectives.logistic_objective(data)
@@ -92,8 +88,7 @@ def _cmd_run(args) -> int:
     inst = experiments.prepare(g, objs)
     z0 = None if args.z0 is None else np.full((g.n, data.dim), args.z0)
     trace = algorithms.run(
-        args.alg, inst.weights, inst.problem, alpha, args.iters, args.stop_tol,
-        theta=args.theta, z0=z0, z_star=inst.optimum.z_star, pi=inst.pi,
+        args.alg, inst, alpha, args.iters, args.stop_tol, theta=args.theta, z0=z0
     )
     algorithms.write_trace_csv(trace, args.out)
     print(f"wrote {args.out} ({trace.records} records, final residual "
@@ -137,17 +132,16 @@ def _cmd_analyze(args) -> int:
 def _cmd_study(args) -> int:
     cfg = experiments.load_config(args.config)
     if args.study == "compare":
-        report = experiments.cmd_compare(cfg)
-        for name, s in report.summaries.items():
+        summaries = experiments.cmd_compare(cfg)
+        for name, s in summaries.items():
             print(
                 f"{name}: iters={s.iterations} final={s.final_residual:.3e} "
                 f"slope={s.slope:.4f} diverged={s.diverged}"
             )
-        return 1 if report.any_diverged else 0
+        return 1 if any(s.diverged for s in summaries.values()) else 0
     if args.study == "sweep":
-        report = experiments.cmd_stepsize_study(cfg)
-        rows = report.stepsize_table
-        print(f"alpha_bar = {report.alpha_bar!r}")
+        alpha_bar, rows = experiments.cmd_stepsize_study(cfg)
+        print(f"alpha_bar = {alpha_bar!r}")
         best_rho = min(rows, key=lambda r: r.rho)
         print(f"argmin rho: alpha={best_rho.alpha!r} rho={best_rho.rho!r}")
         converged = [r for r in rows if r.converged]
@@ -159,8 +153,7 @@ def _cmd_study(args) -> int:
             print("argmin residual: no grid point converged")
         print(f"rows = {len(rows)}")
         return 0
-    report = experiments.cmd_sparsity_study(cfg)
-    for row in report.sparsity_rows:
+    for row in experiments.cmd_sparsity_study(cfg):
         print(f"{row.label} edges={row.edge_count} seed={row.seed} slope={row.slope:.5f}")
     return 0
 

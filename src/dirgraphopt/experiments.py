@@ -2,8 +2,10 @@
 sparsity study.
 
 Configs are flat key-value text files with INI-style sections (parsed by
-:mod:`configparser`).  Outputs are plain CSV files; every driver is
-deterministic, so re-running a config reproduces its outputs byte for byte.
+:mod:`configparser`).  Every command that runs an engine sets its problem up
+through :func:`prepare`.  Each study writes plain CSV files and returns its
+own rows; every driver is deterministic, so re-running a config reproduces
+its outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import configparser
 import csv
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +27,6 @@ __all__ = [
     "TraceSummary",
     "StepsizeRow",
     "SparsityRow",
-    "ComparisonReport",
-    "Instance",
     "load_config",
     "parse_alpha",
     "prepare",
@@ -298,20 +298,6 @@ class SparsityRow:
     slope: float
 
 
-@dataclass
-class ComparisonReport:
-    """Shared result container for the three experiment drivers."""
-
-    summaries: dict[str, TraceSummary] = field(default_factory=dict)
-    alpha_bar: float | None = None
-    stepsize_table: list[StepsizeRow] = field(default_factory=list)
-    sparsity_rows: list[SparsityRow] = field(default_factory=list)
-
-    @property
-    def any_diverged(self) -> bool:
-        return any(s.diverged for s in self.summaries.values())
-
-
 def _summarize(trace: algorithms.Trace, diverged: bool = False) -> TraceSummary:
     try:
         fit = analysis.residual_slope(trace)
@@ -329,28 +315,26 @@ def _summarize(trace: algorithms.Trace, diverged: bool = False) -> TraceSummary:
     )
 
 
-@dataclass(frozen=True)
-class Instance:
-    """The problem every lane of a command runs on: the mixing ``weights``,
-    their stationary vector ``pi``, the stacked ``problem`` and its ``optimum``."""
+def prepare(graph: digraph.Digraph, objs) -> algorithms.Instance:
+    """The :class:`~dirgraphopt.algorithms.Instance` of ``graph`` and ``objs``,
+    stacked once here.
 
-    weights: digraph.WeightMatrix
-    problem: objectives.StackedProblem
-    optimum: objectives.Optimum
-    pi: np.ndarray
-
-
-def prepare(graph: digraph.Digraph, objs) -> Instance:
-    """The :class:`Instance` of ``graph`` and ``objs``, stacked once here; raises
-    ``UnconvergedSolveError`` if the reference solve does not converge."""
+    Raises ``ValueError`` naming both counts when ``objs`` does not hold one
+    objective per node of ``graph``, before any solve, and
+    ``UnconvergedSolveError`` when the reference solve does not converge.
+    """
     weights = digraph.uniform_weights(graph)
     problem = objectives.stack(objs)
+    if problem.n != graph.n:
+        raise ValueError(
+            f"the objectives cover {problem.n} agents but the graph has {graph.n} nodes"
+        )
     optimum = objectives.reference_optimum(problem)
-    return Instance(weights, problem, optimum, digraph.perron_limit(weights))
+    return algorithms.Instance(weights, problem, optimum, digraph.perron_limit(weights))
 
 
 def _run_lanes(
-    cfg: ExperimentConfig, inst: Instance, lanes, stop_tol: float
+    cfg: ExperimentConfig, inst: algorithms.Instance, lanes, stop_tol: float
 ) -> Iterator[tuple[algorithms.Trace, bool]]:
     """Run each ``(algorithm, alpha)`` lane on ``inst``, in order, and yield
     ``(trace, diverged)``; a diverged lane's trace ends at its last finite
@@ -358,8 +342,7 @@ def _run_lanes(
     for name, alpha in lanes:
         try:
             trace, diverged = algorithms.run(
-                name, inst.weights, inst.problem, alpha, cfg.iters, stop_tol,
-                theta=cfg.theta, z_star=inst.optimum.z_star, pi=inst.pi,
+                name, inst, alpha, cfg.iters, stop_tol, theta=cfg.theta
             ), False
         except algorithms.DivergenceError as exc:
             trace, diverged = exc.trace, True
@@ -386,8 +369,9 @@ def _write_csv(cfg: ExperimentConfig, suffix: str, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def cmd_compare(cfg: ExperimentConfig) -> ComparisonReport:
-    """Run each configured algorithm once; write per-algorithm traces + a summary.
+def cmd_compare(cfg: ExperimentConfig) -> dict[str, TraceSummary]:
+    """Run each configured algorithm once; write per-algorithm traces + a summary,
+    and return the summaries by engine name, in the configured order.
 
     The tracked engines use the configured constant step size.  Plain
     gradient-push always runs with the diminishing rule ``1/sqrt(k)``: with a
@@ -402,29 +386,30 @@ def cmd_compare(cfg: ExperimentConfig) -> ComparisonReport:
         (name, "1/sqrt(k)" if name == "gradient_push" else cfg.alpha)
         for name in cfg.algorithms
     ]
-    report = ComparisonReport()
+    summaries = {}
     for trace, diverged in _run_lanes(cfg, inst, lanes, cfg.stop_tol):
         algorithms.write_trace_csv(trace, _out_path(cfg, trace.algorithm))
-        report.summaries[trace.algorithm] = _summarize(trace, diverged)
+        summaries[trace.algorithm] = _summarize(trace, diverged)
     _write_csv(
         cfg, "summary",
         ["algorithm", "alpha", "iterations", "final_residual", "slope", "r2", "diverged"],
         (
             [s.algorithm, s.alpha_label, s.iterations,
              repr(s.final_residual), repr(s.slope), repr(s.r2), int(s.diverged)]
-            for s in report.summaries.values()
+            for s in summaries.values()
         ),
     )
-    return report
+    return summaries
 
 
-def cmd_stepsize_study(cfg: ExperimentConfig) -> ComparisonReport:
+def cmd_stepsize_study(cfg: ExperimentConfig) -> tuple[float, list[StepsizeRow]]:
     """Sweep constant step sizes for the tracked engine.
 
     Per grid point: the recursion radius ``rho(G(alpha))``, a convergence
     flag, and the residual after the configured iteration count (200 by
     convention).  Rows are written in increasing alpha order.  The graph is
     certified before any grid point runs.  ``algorithms`` must be ``addopt``.
+    Returns the certified ceiling ``alpha_bar`` and the rows.
     """
     sweep = cfg.sweep
     if sweep is None:
@@ -450,9 +435,7 @@ def cmd_stepsize_study(cfg: ExperimentConfig) -> ComparisonReport:
         cfg, "stepsize", ["alpha", "rho", "converged", f"residual_{cfg.iters}"],
         ([repr(r.alpha), repr(r.rho), int(r.converged), repr(r.residual)] for r in rows),
     )
-    return ComparisonReport(
-        alpha_bar=analysis.alpha_upper_bound(profile), stepsize_table=rows
-    )
+    return analysis.alpha_upper_bound(profile), rows
 
 
 def _sparsity_graphs(cfg: ExperimentConfig) -> list[tuple[str, digraph.Digraph]]:
@@ -472,8 +455,9 @@ def _sparsity_graphs(cfg: ExperimentConfig) -> list[tuple[str, digraph.Digraph]]
     return graphs
 
 
-def cmd_sparsity_study(cfg: ExperimentConfig) -> ComparisonReport:
-    """Fit per-graph decay slopes across a chain of increasingly dense graphs.
+def cmd_sparsity_study(cfg: ExperimentConfig) -> list[SparsityRow]:
+    """Fit per-graph decay slopes across a chain of increasingly dense graphs,
+    and return one row per (graph, seed) run, in run order.
 
     Each graph is run with every configured data seed at the fixed step
     size; the per-run slope comes from the standard fit window (residual in
@@ -497,7 +481,7 @@ def cmd_sparsity_study(cfg: ExperimentConfig) -> ComparisonReport:
                     k, f"{label} seed {seed}: iterate diverged at iteration {k}"
                 )
             try:
-                slope = analysis.residual_slope(trace, lo=1e-12, hi=1e-1).slope
+                slope = analysis.residual_slope(trace, hi=1e-1).slope
             except ValueError:
                 raise ConfigError(
                     f"{label} seed {seed}: fewer than two residuals in the fit "
@@ -510,4 +494,4 @@ def cmd_sparsity_study(cfg: ExperimentConfig) -> ComparisonReport:
         cfg, "sparsity", ["graph", "edges", "seed", "slope"],
         ([r.label, r.edge_count, r.seed, repr(r.slope)] for r in rows),
     )
-    return ComparisonReport(sparsity_rows=rows)
+    return rows

@@ -195,14 +195,16 @@ def logistic_objective(data: LogisticData) -> tuple[Logistic, ...]:
     )
 
 
-def generate_dataset(
-    n: int, m: int, p: int, seed: int, flip: float = 0.1, reg: float = 1.0
-) -> LogisticData:
+#: probability that :func:`generate_dataset` flips a planted label
+_LABEL_FLIP = 0.1
+
+
+def generate_dataset(n: int, m: int, p: int, seed: int, reg: float = 1.0) -> LogisticData:
     """Synthetic classification data split across ``n`` agents.
 
     Features are standard normal; labels come from a planted random
-    hyperplane with ``flip`` label-noise probability.  Deterministic in
-    ``seed``.
+    hyperplane, each flipped with probability ``_LABEL_FLIP``.
+    Deterministic in ``seed``.
     """
     if n < 1 or m < 1 or p < 1:
         raise ValueError("need n, m, p >= 1")
@@ -213,7 +215,7 @@ def generate_dataset(
     for _ in range(n):
         f = rng.standard_normal((m, p))
         b = np.where(f @ normal >= 0, 1.0, -1.0)
-        flips = rng.random(m) < flip
+        flips = rng.random(m) < _LABEL_FLIP
         b[flips] *= -1.0
         features.append(f)
         labels.append(b)
@@ -514,7 +516,6 @@ class Optimum:
 
     z_star: np.ndarray
     f_star: float
-    method: str
     residual_norm: float
     converged: bool
     iterations: int
@@ -527,11 +528,12 @@ _UNRESOLVED_DECREASE = 1e-12
 #: Armijo's sufficient-decrease fraction and the smallest damping tried.
 _ARMIJO = 1e-4
 _MIN_DAMPING = 2.0**-40
+#: The solve's gradient tolerance, relative to ``max(1, |z|)``, and step budget.
+_TOL_SCALE = 1e-12
+_MAX_NEWTON_STEPS = 100
 
 
-def centralized_solve(
-    objectives, tol_scale: float = 1e-12, max_iters: int = 100
-) -> Optimum:
+def centralized_solve(objectives) -> Optimum:
     """Damped Newton on the summed objective ``F``, started at ``z = 0``.
 
     Each step solves ``H d = g`` with the ``p×p`` total Hessian and gradient,
@@ -541,9 +543,9 @@ def centralized_solve(
     Newton step is taken unchecked: a quadratic converges in one step, and
     a logistic loss in a handful.
 
-    Stops once ``|grad F(z)| <= tol_scale * max(1, |z|)``; if ``max_iters``
-    steps run out first, the iterate with the smallest gradient norm seen is
-    reported with that norm and ``converged = False``.
+    Stops once ``|grad F(z)| <= _TOL_SCALE * max(1, |z|)``; if
+    ``_MAX_NEWTON_STEPS`` steps run out first, the iterate with the smallest
+    gradient norm seen is reported with that norm and ``converged = False``.
     """
     problem = stack(objectives)
     z = np.zeros(problem.dim)
@@ -551,15 +553,15 @@ def centralized_solve(
     best_z, best_res = z, np.inf
     converged = False
     iterations = 0
-    for iterations in range(max_iters + 1):
+    for iterations in range(_MAX_NEWTON_STEPS + 1):
         grad = total_gradient(problem, z)
         res = float(np.linalg.norm(grad))
         if res < best_res:
             best_z, best_res = z, res
-        if res <= tol_scale * max(1.0, float(np.linalg.norm(z))):
+        if res <= _TOL_SCALE * max(1.0, float(np.linalg.norm(z))):
             converged = True
             break
-        if iterations == max_iters:
+        if iterations == _MAX_NEWTON_STEPS:
             break
         step = np.linalg.solve(_agent_order_sum(problem.hessian(_at(problem, z))), grad)
         decrease = float(grad @ step)
@@ -573,7 +575,6 @@ def centralized_solve(
     return Optimum(
         z_star=best_z,
         f_star=total_value(problem, best_z),
-        method="damped Newton on the total Hessian, Armijo backtracking",
         residual_norm=best_res,
         converged=converged,
         iterations=iterations,

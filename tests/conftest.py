@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from dirgraphopt import digraph, objectives
+from dirgraphopt import digraph, experiments, objectives
 
 settings.register_profile(
     "suite",
@@ -62,8 +62,9 @@ def canonical_opt(canonical_objs):
 
 
 @pytest.fixture(scope="session")
-def fig1_pi(fig1_weights):
-    return digraph.perron_limit(fig1_weights)
+def canonical_inst(fig1_graph, canonical_objs):
+    """fig1 with the canonical objectives, set up as every command sets it up."""
+    return experiments.prepare(fig1_graph, canonical_objs)
 
 
 def random_weights(n: int, extra: int, seed: int) -> digraph.WeightMatrix:

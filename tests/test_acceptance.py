@@ -45,14 +45,9 @@ def central_fd(fn, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return out
 
 
-def test_criterion_01_linear_rate_on_benchmark(
-    fig1_weights, canonical_objs, canonical_opt, fig1_pi
-):
+def test_criterion_01_linear_rate_on_benchmark(canonical_inst):
     start = time.perf_counter()
-    trace = algorithms.run(
-        "addopt", fig1_weights, canonical_objs, 0.08, 500, 1e-10,
-        z_star=canonical_opt.z_star, pi=fig1_pi,
-    )
+    trace = algorithms.run("addopt", canonical_inst, 0.08, 500, 1e-10)
     seconds = time.perf_counter() - start
     fit = analysis.residual_slope(trace)
     ok = (
@@ -71,14 +66,9 @@ def test_criterion_01_linear_rate_on_benchmark(
     )
 
 
-def test_criterion_02_small_step_robustness(
-    fig1_weights, canonical_objs, canonical_opt, fig1_pi
-):
+def test_criterion_02_small_step_robustness(canonical_inst):
     alpha = 1e-3
-    tracked = algorithms.run(
-        "addopt", fig1_weights, canonical_objs, alpha, 100_000, 9.5e-7,
-        z_star=canonical_opt.z_star, pi=fig1_pi,
-    )
+    tracked = algorithms.run("addopt", canonical_inst, alpha, 100_000, 9.5e-7)
     samples = tracked.residual[::2000]
     trending_down = all(
         samples[i + 1] <= samples[i] * 1.05 for i in range(len(samples) - 1)
@@ -90,16 +80,11 @@ def test_criterion_02_small_step_robustness(
     )
 
     try:
-        two_step = algorithms.run(
-            "dextra", fig1_weights, canonical_objs, alpha, 100_000, 0.0,
-            z_star=canonical_opt.z_star, pi=fig1_pi,
-        )
+        two_step = algorithms.run("dextra", canonical_inst, alpha, 100_000, 0.0)
         blowup = ""
     except algorithms.DivergenceError as exc:
         two_step = algorithms.run(
-            "dextra", fig1_weights, canonical_objs, alpha,
-            exc.iteration - 1, 0.0,
-            z_star=canonical_opt.z_star, pi=fig1_pi,
+            "dextra", canonical_inst, alpha, exc.iteration - 1, 0.0
         )
         blowup = f", two-step blew up at k={exc.iteration}"
     two_step_best = float(two_step.residual.min())
@@ -334,8 +319,7 @@ def test_criterion_10_gradients_match_finite_differences():
 def test_criterion_11_predicted_best_step_matches_measured(tmp_path):
     cfg = experiments.load_config(CONFIG_DIR / "stepsize_fig1.ini")
     cfg = dataclasses.replace(cfg, out_dir=tmp_path)
-    report = experiments.cmd_stepsize_study(cfg)
-    rows = report.stepsize_table
+    _, rows = experiments.cmd_stepsize_study(cfg)
     rho_idx = min(range(len(rows)), key=lambda i: rows[i].rho)
     converged = [i for i in range(len(rows)) if rows[i].converged]
     res_idx = min(converged, key=lambda i: rows[i].residual)
@@ -353,9 +337,8 @@ def test_criterion_11_predicted_best_step_matches_measured(tmp_path):
 def test_criterion_12_denser_graphs_decay_at_least_as_fast(tmp_path):
     cfg = experiments.load_config(CONFIG_DIR / "sparsity_chain.ini")
     cfg = dataclasses.replace(cfg, out_dir=tmp_path)
-    report = experiments.cmd_sparsity_study(cfg)
     grouped: dict[int, list[float]] = defaultdict(list)
-    for row in report.sparsity_rows:
+    for row in experiments.cmd_sparsity_study(cfg):
         grouped[row.edge_count].append(row.slope)
     means = sorted(
         (edges, sum(slopes) / len(slopes)) for edges, slopes in grouped.items()

@@ -25,6 +25,7 @@ from dirgraphopt.algorithms import (
     write_trace_csv,
 )
 from dirgraphopt.digraph import WeightMatrix
+from dirgraphopt.experiments import prepare
 
 from conftest import quadratic_set
 
@@ -40,6 +41,11 @@ def ring4():
 @pytest.fixture(scope="module")
 def quad4():
     return quadratic_set(4, 2, seed=11)
+
+
+@pytest.fixture(scope="module")
+def ring4_inst(quad4):
+    return prepare(digraph.ring_digraph(4), quad4)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +203,9 @@ def test_two_step_coincides_with_tracked_engine_on_identity_mixing(quad4):
         s_tracked = addopt_step(s_tracked, eye, alpha)
 
 
-def test_two_step_converges_linearly_inside_its_window(fig1_weights):
-    objs = quadratic_set(10, 3, seed=0)
-    trace = run("dextra", fig1_weights, objs, 0.2, 1500, 0.0, theta=0.5)
+def test_two_step_converges_linearly_inside_its_window(fig1_graph):
+    inst = prepare(fig1_graph, quadratic_set(10, 3, seed=0))
+    trace = run("dextra", inst, 0.2, 1500, 0.0, theta=0.5)
     assert trace.final_residual < 1e-10
     from dirgraphopt import analysis
 
@@ -207,23 +213,15 @@ def test_two_step_converges_linearly_inside_its_window(fig1_weights):
     assert fit.slope < 0 and fit.r2 >= 0.99
 
 
-def test_two_step_fails_below_its_stability_window(
-    fig1_weights, canonical_objs, canonical_opt
-):
+def test_two_step_fails_below_its_stability_window(canonical_inst):
     # the tracked engine tolerates arbitrarily small steps; the two-step
     # corrector does not: at alpha = 0.05 it never comes close while the
     # tracked engine converges
     alpha = 0.05
-    tracked = run(
-        "addopt", fig1_weights, canonical_objs, alpha, 2000, 0.0,
-        z_star=canonical_opt.z_star,
-    )
+    tracked = run("addopt", canonical_inst, alpha, 2000, 0.0)
     assert tracked.final_residual < 1e-10
     try:
-        two_step = run(
-            "dextra", fig1_weights, canonical_objs, alpha, 2000, 0.0,
-            z_star=canonical_opt.z_star,
-        )
+        two_step = run("dextra", canonical_inst, alpha, 2000, 0.0)
         min_residual = float(two_step.residual.min())
     except DivergenceError:
         min_residual = float("inf")
@@ -245,9 +243,9 @@ def test_baseline_zero_steps_is_pure_consensus(fig1_weights):
     np.testing.assert_allclose(s.z, np.tile(z0.mean(axis=0), (10, 1)), atol=1e-10)
 
 
-def test_baseline_decay_is_sublinear(fig1_weights):
-    objs = quadratic_set(10, 3, seed=0)
-    trace = run("gradient_push", fig1_weights, objs, "1/sqrt(k)", 3000, 0.0)
+def test_baseline_decay_is_sublinear(fig1_graph):
+    inst = prepare(fig1_graph, quadratic_set(10, 3, seed=0))
+    trace = run("gradient_push", inst, "1/sqrt(k)", 3000, 0.0)
     ks, res = trace.ks, trace.residual
     mask = ks >= 100
     slope = np.polyfit(np.log(ks[mask]), np.log(res[mask]), 1)[0]
@@ -256,14 +254,10 @@ def test_baseline_decay_is_sublinear(fig1_weights):
     assert res[-1] > 1e-3
 
 
-def test_tracked_engine_beats_baseline_by_orders_of_magnitude(fig1_weights):
-    objs = quadratic_set(10, 3, seed=0)
-    opt = objectives.centralized_solve(objs)
-    tracked = run("addopt", fig1_weights, objs, 0.2, 300, 0.0, z_star=opt.z_star)
-    baseline = run(
-        "gradient_push", fig1_weights, objs, "1/sqrt(k)", 300, 0.0,
-        z_star=opt.z_star,
-    )
+def test_tracked_engine_beats_baseline_by_orders_of_magnitude(fig1_graph):
+    inst = prepare(fig1_graph, quadratic_set(10, 3, seed=0))
+    tracked = run("addopt", inst, 0.2, 300, 0.0)
+    baseline = run("gradient_push", inst, "1/sqrt(k)", 300, 0.0)
     assert tracked.residual[300] <= 1e-2 * baseline.residual[300]
 
 
@@ -277,35 +271,36 @@ def test_inv_sqrt_schedule():
 # ---------------------------------------------------------------------------
 
 
-def test_run_records_every_iteration(ring4, quad4):
-    trace = run("addopt", ring4, quad4, 0.05, 100, 0.0)
+def test_run_records_every_iteration(ring4_inst):
+    trace = run("addopt", ring4_inst, 0.05, 100, 0.0)
     assert trace.records == 101
     assert trace.iterations == 100
     np.testing.assert_array_equal(trace.ks, np.arange(101))
     assert trace.residual[0] == 1.0
 
 
-def test_run_stop_tol_halts_early(fig1_weights, canonical_objs):
-    trace = run("addopt", fig1_weights, canonical_objs, 0.08, 500, 1e-6)
+def test_run_stop_tol_halts_early(canonical_inst):
+    trace = run("addopt", canonical_inst, 0.08, 500, 1e-6)
     assert trace.final_residual <= 1e-6
     assert trace.iterations < 500
     # every earlier record sits above the stopping threshold
     assert np.all(trace.residual[:-1] > 1e-6)
 
 
-def test_run_is_deterministic(fig1_weights, canonical_objs):
-    a = run("addopt", fig1_weights, canonical_objs, 0.05, 150, 0.0)
-    b = run("addopt", fig1_weights, canonical_objs, 0.05, 150, 0.0)
+def test_run_is_deterministic(canonical_inst):
+    a = run("addopt", canonical_inst, 0.05, 150, 0.0)
+    b = run("addopt", canonical_inst, 0.05, 150, 0.0)
     np.testing.assert_array_equal(a.residual, b.residual)
     np.testing.assert_array_equal(a.consensus_err, b.consensus_err)
     np.testing.assert_array_equal(a.gap, b.gap)
 
 
-def test_run_reaches_fixed_point_consensus(fig1_weights, canonical_objs):
-    trace = run("addopt", fig1_weights, canonical_objs, 0.08, 500, 1e-10)
+def test_run_reaches_fixed_point_consensus(canonical_objs, canonical_inst):
+    trace = run("addopt", canonical_inst, 0.08, 500, 1e-10)
     assert trace.final_residual <= 1e-10
     *_, final = islice(
-        iterate("addopt", fig1_weights, canonical_objs, 0.08), trace.iterations + 1
+        iterate("addopt", canonical_inst.weights, canonical_inst.problem, 0.08),
+        trace.iterations + 1,
     )
     spread = np.max(
         np.linalg.norm(final.z[:, None, :] - final.z[None, :, :], axis=-1)
@@ -317,10 +312,10 @@ def test_run_reaches_fixed_point_consensus(fig1_weights, canonical_objs):
     assert np.linalg.norm(total_grad) <= 1e-8
 
 
-def test_run_engine_name_validation(ring4, quad4):
+def test_run_engine_name_validation(ring4_inst):
     with pytest.raises(ValueError, match="unknown algorithm"):
-        run("sgd", ring4, quad4, 0.1, 10)
-    trace = run("gp", ring4, quad4, "1/sqrt(k)", 10)
+        run("sgd", ring4_inst, 0.1, 10)
+    trace = run("gp", ring4_inst, "1/sqrt(k)", 10)
     assert trace.algorithm == "gradient_push"
 
 
@@ -347,33 +342,26 @@ def test_iterate_is_endless_and_starts_every_engine_at_k0(ring4, quad4):
         np.testing.assert_array_equal(states[0].x, 0.0)
 
 
-def test_run_rejects_schedules_for_tracked_engines(ring4, quad4):
-    with pytest.raises(ValueError, match="constant step"):
-        run("addopt", ring4, quad4, "1/sqrt(k)", 10)
-    with pytest.raises(ValueError, match="constant step"):
-        run("dextra", ring4, quad4, lambda k: 0.1, 10)
+def test_run_rejects_schedules_for_tracked_engines(ring4_inst):
+    for algorithm in ("addopt", "dextra"):
+        with pytest.raises(ValueError, match="constant step"):
+            run(algorithm, ring4_inst, "1/sqrt(k)", 10)
 
 
-def test_run_accepts_callable_schedule_for_baseline(ring4, quad4):
-    trace = run("gradient_push", ring4, quad4, lambda k: 0.5 / k, 20)
-    assert trace.records == 21
-    assert np.all(np.isnan(trace.tracking_err))
-
-
-def test_run_baseline_divergence_reports_iteration(fig1_weights):
-    objs = quadratic_set(10, 2, seed=1)
+def test_run_baseline_divergence_reports_iteration(fig1_graph):
+    inst = prepare(fig1_graph, quadratic_set(10, 2, seed=1))
     with pytest.raises(DivergenceError) as exc_info:
-        run("addopt", fig1_weights, objs, 50.0, 3000, 0.0)
+        run("addopt", inst, 50.0, 3000, 0.0)
     assert 1 <= exc_info.value.iteration <= 3000
 
 
 @pytest.mark.parametrize("algorithm", ["addopt", "dextra", "gradient_push"])
-def test_divergence_carries_trace_up_to_last_finite_iterate(fig1_weights, algorithm):
-    objs = quadratic_set(10, 2, seed=1)
+def test_divergence_carries_trace_up_to_last_finite_iterate(fig1_graph, algorithm):
+    inst = prepare(fig1_graph, quadratic_set(10, 2, seed=1))
     with pytest.raises(DivergenceError) as exc_info:
-        run(algorithm, fig1_weights, objs, 50.0, 3000, 0.0)
+        run(algorithm, inst, 50.0, 3000, 0.0)
     exc = exc_info.value
-    again = run(algorithm, fig1_weights, objs, 50.0, exc.iteration - 1, 0.0)
+    again = run(algorithm, inst, 50.0, exc.iteration - 1, 0.0)
     assert exc.trace.iterations == exc.iteration - 1
     for f in dataclasses.fields(algorithms.Trace):
         np.testing.assert_array_equal(
@@ -388,8 +376,8 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
     return dict(zip(header, np.array(rows, dtype=float).T))
 
 
-def test_trace_csv_roundtrip(tmp_path, ring4, quad4):
-    trace = run("addopt", ring4, quad4, 0.05, 30, 0.0)
+def test_trace_csv_roundtrip(tmp_path, ring4_inst):
+    trace = run("addopt", ring4_inst, 0.05, 30, 0.0)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     header = path.read_text().splitlines()[0]
@@ -401,8 +389,8 @@ def test_trace_csv_roundtrip(tmp_path, ring4, quad4):
     np.testing.assert_array_equal(cols["gap"], trace.gap)
 
 
-def test_trace_csv_baseline_tracking_is_nan(tmp_path, ring4, quad4):
-    trace = run("gp", ring4, quad4, "1/sqrt(k)", 10, 0.0)
+def test_trace_csv_baseline_tracking_is_nan(tmp_path, ring4_inst):
+    trace = run("gp", ring4_inst, "1/sqrt(k)", 10, 0.0)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     cols = read_trace_csv(path)
@@ -410,11 +398,11 @@ def test_trace_csv_baseline_tracking_is_nan(tmp_path, ring4, quad4):
 
 
 def test_engines_and_reference_solve_never_call_per_agent_gradients(
-    monkeypatch, fig1_weights, canonical_objs
+    monkeypatch, fig1_graph, canonical_objs
 ):
     quads = quadratic_set(10, 2, seed=3)
     expected = {
-        name: [run(alg, fig1_weights, objs, 0.05, 40, 0.0) for alg in ENGINES]
+        name: [run(alg, prepare(fig1_graph, objs), 0.05, 40, 0.0) for alg in ENGINES]
         for name, objs in (("logistic", canonical_objs), ("quadratic", quads))
     }
 
@@ -424,10 +412,11 @@ def test_engines_and_reference_solve_never_call_per_agent_gradients(
     monkeypatch.setattr(objectives.Logistic, "gradient", per_agent)
     monkeypatch.setattr(objectives.Quadratic, "gradient", per_agent)
     for name, objs in (("logistic", canonical_objs), ("quadratic", quads)):
-        assert objectives.centralized_solve(objs).converged
+        # prepare runs the reference solve with the per-agent calls patched out
+        inst = prepare(fig1_graph, objs)
+        assert inst.optimum.converged
         for alg, before in zip(ENGINES, expected[name]):
-            # z_star is left to run(), so the reference solve runs here too
-            trace = run(alg, fig1_weights, objs, 0.05, 40, 0.0)
+            trace = run(alg, inst, 0.05, 40, 0.0)
             assert trace.residual.tobytes() == before.residual.tobytes()
 
 
@@ -530,7 +519,7 @@ def assert_same_bytes(trace, expected, records):
 
 @pytest.fixture(scope="module")
 def block_problems():
-    """Logistic problems with their optimum and Perron vector, per (n, p)."""
+    """The :class:`~dirgraphopt.algorithms.Instance` of a logistic problem, per (n, p)."""
     cache = {}
 
     def get(n, p):
@@ -541,11 +530,8 @@ def block_problems():
                 g = digraph.builtin_graph("fig1")
             else:
                 g = digraph.random_digraph(n, 4 * n, 0)
-            w = digraph.uniform_weights(g)
-            objs = objectives.stack(objectives.logistic_objective(
+            cache[n, p] = prepare(g, objectives.logistic_objective(
                 objectives.generate_dataset(n, 10, p, seed=3, reg=1.0)))
-            pi = digraph.perron_limit(w)
-            cache[n, p] = w, objs, objectives.centralized_solve(objs).z_star, pi
         return cache[n, p]
 
     return get
@@ -556,18 +542,18 @@ def block_problems():
 def test_block_recorder_matches_per_step_recorder_at_block_edges(
     block_problems, algorithm, n, p
 ):
-    w, objs, z_star, pi = block_problems(n, p)
+    inst = block_problems(n, p)
     alpha = BLOCK_ALPHAS[algorithm]
     block = algorithms._block_steps(n, p)
-    states = list(islice(iterate(algorithm, w, objs, alpha), 2 * block + 2))
-    expected = per_step_columns(states, z_star, pi)
+    states = list(islice(iterate(algorithm, inst.weights, inst.problem, alpha), 2 * block + 2))
+    expected = per_step_columns(states, inst.optimum.z_star, inst.pi)
     for iters in (0, block - 1, block, block + 1, 2 * block + 1):
-        trace = run(algorithm, w, objs, alpha, iters, z_star=z_star, pi=pi)
+        trace = run(algorithm, inst, alpha, iters)
         assert_same_bytes(trace, expected, iters + 1)
     # a stop_tol stop half-way into the second block
     tol = float(expected["residual"][block + block // 2])
     stop = int(np.argmax(expected["residual"] <= tol))
-    trace = run(algorithm, w, objs, alpha, 2 * block + 1, tol, z_star=z_star, pi=pi)
+    trace = run(algorithm, inst, alpha, 2 * block + 1, tol)
     assert_same_bytes(trace, expected, stop + 1)
 
 
@@ -579,11 +565,11 @@ def test_block_recorder_matches_per_step_recorder_at_block_edges(
 def test_block_recorder_divergence_keeps_the_finite_records(
     block_problems, monkeypatch, algorithm, step, where
 ):
-    w, objs, z_star, pi = block_problems(10, 3)
+    inst = block_problems(10, 3)
     alpha = BLOCK_ALPHAS[algorithm]
     block = algorithms._block_steps(10, 3)
-    expected = per_step_columns(
-        list(islice(iterate(algorithm, w, objs, alpha), 2 * block + 2)), z_star, pi)
+    states = list(islice(iterate(algorithm, inst.weights, inst.problem, alpha), 2 * block + 2))
+    expected = per_step_columns(states, inst.optimum.z_star, inst.pi)
     # the first block holds k = 0 .. block-1, so step k = block is the first
     # one after a flush
     at = block if where == "after_flush" else block + block // 2
@@ -597,11 +583,11 @@ def test_block_recorder_divergence_keeps_the_finite_records(
     with monkeypatch.context() as patch:
         patch.setattr(algorithms, step, diverging_step)
         with pytest.raises(DivergenceError) as exc_info:
-            run(algorithm, w, objs, alpha, 2 * block + 1, z_star=z_star, pi=pi)
+            run(algorithm, inst, alpha, 2 * block + 1)
     exc = exc_info.value
     assert exc.iteration == at
     assert_same_bytes(exc.trace, expected, at)
-    again = run(algorithm, w, objs, alpha, exc.iteration - 1, z_star=z_star, pi=pi)
+    again = run(algorithm, inst, alpha, exc.iteration - 1)
     assert_same_bytes(again, expected, at)
 
 
@@ -631,7 +617,7 @@ def test_check_finite_accepts_the_guard_itself():
     algorithms._check_finite(x, 1)
 
 
-def test_run_rejects_a_negative_iteration_count(ring4, quad4):
+def test_run_rejects_a_negative_iteration_count(ring4_inst):
     with pytest.raises(ValueError, match="non-negative, got -3"):
-        run("addopt", ring4, quad4, 0.05, -3)
-    assert run("addopt", ring4, quad4, 0.05, 0).records == 1
+        run("addopt", ring4_inst, 0.05, -3)
+    assert run("addopt", ring4_inst, 0.05, 0).records == 1

@@ -454,8 +454,7 @@ def test_residual_slope_window_excludes_floor_and_overshoot():
     residual[0] = 2.0        # above the window: ignored
     residual[-5:] = 1e-14    # numeric floor: ignored
     trace = Trace(
-        algorithm="addopt", alpha_label="0.1", z_star=np.zeros(1),
-        ks=ks, residual=residual,
+        algorithm="addopt", alpha_label="0.1", ks=ks, residual=residual,
         consensus_err=np.zeros(60), tracking_err=np.zeros(60),
         gap=np.zeros(60),
     )

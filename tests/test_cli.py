@@ -682,11 +682,10 @@ prefix = cmp
 def unconverged_solve(monkeypatch):
     """``centralized_solve`` stubbed to run out of its budget: no real
     problem in this suite reaches the unconverged path."""
-    def solve(objs, *args, **kwargs):
+    def solve(objs):
         dim = objectives.stack(objs).dim
         return objectives.Optimum(
-            z_star=np.zeros(dim), f_star=1.0, method="stub",
-            residual_norm=3e-4, converged=False, iterations=500_000,
+            z_star=np.zeros(dim), f_star=1.0, residual_norm=3e-4, converged=False, iterations=500_000,
         )
 
     monkeypatch.setattr(objectives, "centralized_solve", solve)

@@ -19,6 +19,7 @@ from dirgraphopt.experiments import (
     cmd_stepsize_study,
     load_config,
     parse_alpha,
+    prepare,
     resolve_graph,
 )
 
@@ -264,8 +265,7 @@ def test_compare_rejects_sweep(tmp_path):
 
 def test_compare_zero_iterations_keeps_initial_residual(tmp_path):
     cfg = make_config(tmp_path, iters=0)
-    report = cmd_compare(cfg)
-    summary = report.summaries["addopt"]
+    summary = cmd_compare(cfg)["addopt"]
     assert summary.iterations == 0
     assert summary.final_residual == 1.0
     assert np.isnan(summary.slope)
@@ -281,28 +281,26 @@ def test_compare_writes_trace_per_algorithm(tmp_path):
     cfg = make_config(
         tmp_path, algorithms=("addopt", "dextra", "gp"), alpha=0.2, iters=300,
     )
-    report = cmd_compare(cfg)
+    summaries = cmd_compare(cfg)
     for name in ("addopt", "dextra", "gradient_push"):
         assert (tmp_path / f"study_{name}.csv").exists()
-        assert name in report.summaries
-    assert not report.any_diverged
+        assert name in summaries
+    assert not any(s.diverged for s in summaries.values())
     # tracked engines converge linearly; the baseline trails far behind
-    assert report.summaries["addopt"].final_residual < 1e-8
-    assert report.summaries["dextra"].final_residual < 1e-6
-    assert report.summaries["gradient_push"].final_residual > 1e-3
+    assert summaries["addopt"].final_residual < 1e-8
+    assert summaries["dextra"].final_residual < 1e-6
+    assert summaries["gradient_push"].final_residual > 1e-3
 
 
 def test_compare_baseline_always_uses_diminishing_steps(tmp_path):
     cfg = make_config(tmp_path, algorithms=("gp",), alpha=0.3, iters=5)
-    report = cmd_compare(cfg)
-    assert report.summaries["gradient_push"].alpha_label == "1/sqrt(k)"
+    assert cmd_compare(cfg)["gradient_push"].alpha_label == "1/sqrt(k)"
 
 
 def test_compare_flags_divergence_and_truncates_trace(tmp_path):
     cfg = make_config(tmp_path, alpha=50.0, iters=3000)
-    report = cmd_compare(cfg)
-    summary = report.summaries["addopt"]
-    assert summary.diverged and report.any_diverged
+    summary = cmd_compare(cfg)["addopt"]
+    assert summary.diverged
     rows = read_csv(tmp_path / "study_summary.csv")
     assert rows[1][-1] == "1"
     # the written trace stops just before the overflow guard tripped
@@ -343,9 +341,9 @@ def test_stepsize_study_requires_sweep(tmp_path):
 
 def test_stepsize_study_table_and_csv(tmp_path):
     cfg = stepsize_config(tmp_path)
-    report = cmd_stepsize_study(cfg)
-    assert report.alpha_bar is not None and report.alpha_bar > 0
-    alphas = [row.alpha for row in report.stepsize_table]
+    alpha_bar, table = cmd_stepsize_study(cfg)
+    assert alpha_bar > 0
+    alphas = [row.alpha for row in table]
     assert alphas == sorted(alphas) and len(alphas) == 6
     assert all(a < b for a, b in zip(alphas, alphas[1:]))
     rows = read_csv(tmp_path / "study_stepsize.csv")
@@ -362,13 +360,28 @@ def test_stepsize_study_flags_divergent_grid_points(tmp_path):
         tmp_path, alpha=("sweep", 0.1, 1.0, 10), objective="logistic",
         n_examples=2, dim=2, seed=7, iters=200,
     )
-    report = cmd_stepsize_study(cfg)
-    flags = [row.converged for row in report.stepsize_table]
+    _, table = cmd_stepsize_study(cfg)
+    flags = [row.converged for row in table]
     assert flags[0] and not all(flags)
     # once diverged, the recorded residual is infinite
-    for row in report.stepsize_table:
+    for row in table:
         if not row.converged:
             assert not np.isfinite(row.residual) or row.residual >= 1.0
+
+
+def test_prepare_rejects_objectives_that_miss_agents_before_solving(monkeypatch):
+    solves = []
+    solve = objectives.centralized_solve
+
+    def counting(objs):
+        solves.append(objs)
+        return solve(objs)
+
+    monkeypatch.setattr(objectives, "centralized_solve", counting)
+    objs = objectives.logistic_objective(objectives.generate_dataset(4, 10, 3, seed=0))
+    with pytest.raises(ValueError, match="cover 4 agents but the graph has 10 nodes"):
+        prepare(digraph.builtin_graph("fig1"), objs)
+    assert solves == []
 
 
 def test_each_study_stacks_its_problem_once(tmp_path, monkeypatch):
@@ -384,7 +397,7 @@ def test_each_study_stacks_its_problem_once(tmp_path, monkeypatch):
     monkeypatch.setattr(objectives, "_stack_logistic", counting)
     configs = Path(__file__).resolve().parent.parent / "configs"
     sweep = dataclasses.replace(load_config(configs / "stepsize_fig1.ini"), out_dir=tmp_path)
-    assert len(cmd_stepsize_study(sweep).stepsize_table) == 10
+    assert len(cmd_stepsize_study(sweep)[1]) == 10
     assert stacks == [10]
     stacks.clear()
     cmd_compare(make_config(
@@ -412,9 +425,7 @@ def test_sparsity_identical_graphs_identical_slopes(tmp_path):
         tmp_path, alpha=0.05, dim=2, iters=1500,
         graph_files=(str(g_path), str(g_path)),
     )
-    report = cmd_sparsity_study(cfg)
-    assert len(report.sparsity_rows) == 2
-    a, b = report.sparsity_rows
+    a, b = cmd_sparsity_study(cfg)
     assert a.slope == pytest.approx(b.slope, abs=1e-12)
     assert a.edge_count == b.edge_count == 4
 
@@ -435,8 +446,7 @@ def test_sparsity_strict_nesting_rejects_disjoint_chains(tmp_path):
         tmp_path, alpha=0.05, dim=2, iters=1500,
         graph_files=(str(fwd), str(rev)), strict_nesting=False,
     )
-    report = cmd_sparsity_study(relaxed)
-    assert [row.label for row in report.sparsity_rows] == ["fwd.txt", "rev.txt"]
+    assert [row.label for row in cmd_sparsity_study(relaxed)] == ["fwd.txt", "rev.txt"]
 
 
 def test_sparsity_chain_takes_node_count_from_graph_file(tmp_path):
@@ -446,9 +456,9 @@ def test_sparsity_chain_takes_node_count_from_graph_file(tmp_path):
         tmp_path, graph=("file", str(g_path)), alpha=0.1, dim=2, iters=300,
         chain_extra=(60, 120),
     )
-    report = cmd_sparsity_study(cfg)
+    rows = cmd_sparsity_study(cfg)
     # a 20-node cycle plus the extra edges, not a 10-node chain
-    assert [row.edge_count for row in report.sparsity_rows] == [80, 140]
+    assert [row.edge_count for row in rows] == [80, 140]
 
 
 def test_sparsity_complete_graph_is_weakly_fastest(tmp_path):
@@ -456,10 +466,10 @@ def test_sparsity_complete_graph_is_weakly_fastest(tmp_path):
         tmp_path, graph=("random", 6, 0, 0), alpha=0.03, dim=3, iters=1500,
         seeds=(0, 1, 2), chain_extra=(0, 12, 24), strict_nesting=True,
     )
-    report = cmd_sparsity_study(cfg)
-    assert len(report.sparsity_rows) == 9
+    rows = cmd_sparsity_study(cfg)
+    assert len(rows) == 9
     means = {}
-    for row in report.sparsity_rows:
+    for row in rows:
         means.setdefault(row.label, []).append(row.slope)
     mean = {label: np.mean(v) for label, v in means.items()}
     # chain2 is the complete digraph: at least as fast as every sparser stage
