@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import WeightMatrix
-from .objectives import Optimum, StackedProblem, stack, stacked_gradient
+from .objectives import Optimum, StackedProblem, stacked_gradient
 
 __all__ = [
     "OVERFLOW_GUARD",
@@ -41,11 +41,9 @@ __all__ = [
     "Instance",
     "AgentSwarm",
     "Trace",
-    "addopt_init",
     "addopt_step",
     "dextra_tilde",
     "dextra_step",
-    "gradient_push_init",
     "gradient_push_step",
     "iterate",
     "run",
@@ -95,7 +93,8 @@ class AgentSwarm:
     ``w`` the gradient tracker (engines without tracking leave it ``None``).
     ``grad`` caches each agent's gradient at its current ``z``; two-step
     engines also keep the previous ``x`` and gradient.  ``objectives`` is the
-    batched problem built by :func:`~dirgraphopt.objectives.stack`.
+    stacked problem of the :class:`Instance` that
+    :func:`~dirgraphopt.experiments.prepare` builds.
 
     A step builds a new state and never writes into the arrays of the one it
     reads: the trace recorder keeps those arrays until its block is reduced.
@@ -139,16 +138,6 @@ def _default_z0(problem: StackedProblem, z0) -> np.ndarray:
             f"z0 entries must be finite and at most {OVERFLOW_GUARD:g} in magnitude"
         )
     return z0.copy()
-
-
-def addopt_init(objectives, z0=None) -> AgentSwarm:
-    """Start state: x = z0, unit de-biasing scalars, tracker seeded with grad(z0)."""
-    problem = stack(objectives)
-    x = _default_z0(problem, z0)
-    y = np.ones(problem.n)
-    z = x.copy()
-    grad = stacked_gradient(problem, z)
-    return AgentSwarm(problem, x, y, z, grad.copy(), grad, k=0)
 
 
 def addopt_step(s: AgentSwarm, weights: WeightMatrix, alpha: float) -> AgentSwarm:
@@ -203,13 +192,6 @@ def dextra_step(
     )
 
 
-def gradient_push_init(objectives, z0=None) -> AgentSwarm:
-    problem = stack(objectives)
-    x = _default_z0(problem, z0)
-    y = np.ones(problem.n)
-    return AgentSwarm(problem, x, y, x.copy(), w=None, grad=None, k=0)
-
-
 def gradient_push_step(
     s: AgentSwarm, weights: WeightMatrix, alpha_k: float
 ) -> AgentSwarm:
@@ -225,7 +207,7 @@ def gradient_push_step(
 
 def inv_sqrt_steps(k: int) -> float:
     """Diminishing schedule 1/sqrt(k) for the k-th step (k >= 1)."""
-    return 1.0 / np.sqrt(k)
+    return 1.0 / math.sqrt(k)
 
 
 @dataclass
@@ -306,7 +288,6 @@ class _Recorder:
         self.target, self.denom = target, denom
         self.z_star, self.y_inf = z_star, y_inf[:, None]
         self.tracked = tracked
-        self.ks: list[int] = []
         self.residual: list[float] = []
         self.xs: list[np.ndarray] = []
         self.ws: list[np.ndarray] = []
@@ -319,7 +300,6 @@ class _Recorder:
         """Keep step ``s`` and return its residual."""
         d = s.z - self.target
         res = math.sqrt(np.vdot(d, d)) / self.denom
-        self.ks.append(s.k)
         self.residual.append(res)
         self.xs.append(s.x)
         if self.tracked:
@@ -351,7 +331,7 @@ class _Recorder:
         return Trace(
             algorithm=algorithm,
             alpha_label=alpha_label,
-            ks=np.array(self.ks),
+            ks=np.arange(len(self.residual)),
             residual=np.array(self.residual),
             consensus_err=np.concatenate(self.consensus),
             tracking_err=np.concatenate(self.tracking),
@@ -379,28 +359,31 @@ def _step_rule(algorithm: str, alpha):
 
 
 def iterate(
-    algorithm: str, weights: WeightMatrix, objectives, alpha, *, z0=None,
-    theta: float = 0.5,
+    algorithm: str, inst: Instance, alpha, *, z0=None, theta: float = 0.5,
 ) -> Iterator[AgentSwarm]:
-    """Yield the states ``k = 0, 1, 2, ...`` of one engine, without end.
+    """Yield the states ``k = 0, 1, 2, ...`` of one engine on ``inst``,
+    without end.
 
-    ``weights`` and ``objectives`` are those of an :class:`Instance`, the
-    rest those of :func:`run`; all are checked by this call, not at the first
-    ``next()``.  A step that leaves the overflow guard raises
+    Every engine starts from ``x = z = z0`` (zeros by default) and unit
+    de-biasing scalars; ``addopt`` seeds its tracker with ``grad(z0)``.  The
+    arguments are those of :func:`run` and are checked by this call, not at
+    the first ``next()``.  A step that leaves the overflow guard raises
     :class:`DivergenceError` from ``next()``.  Take a finite run with
     ``itertools.islice(iterate(...), K + 1)``.
     """
     engine, alpha_fn, _ = _step_rule(algorithm, alpha)
-    problem = stack(objectives)
+    weights, problem = inst.weights, inst.problem
+    z = _default_z0(problem, z0)
+    s = AgentSwarm(problem, z, np.ones(problem.n), z, w=None, grad=None, k=0)
     # the step functions are looked up here, at each call, so that rebinding
     # a module-level name (a timer, a test double) reaches the next run
     if engine == "addopt":
-        s, step, extra = addopt_init(problem, z0), addopt_step, ()
+        s.w = s.grad = stacked_gradient(problem, z)
+        step, extra = addopt_step, ()
     elif engine == "dextra":
-        tilde = dextra_tilde(weights, theta)
-        s, step, extra = gradient_push_init(problem, z0), dextra_step, (tilde,)
+        step, extra = dextra_step, (dextra_tilde(weights, theta),)
     else:
-        s, step, extra = gradient_push_init(problem, z0), gradient_push_step, ()
+        step, extra = gradient_push_step, ()
 
     def states(s: AgentSwarm) -> Iterator[AgentSwarm]:
         yield s
@@ -434,7 +417,7 @@ def run(
         raise ValueError(f"iteration count must be non-negative, got {max_iters}")
     z_star, pi = inst.optimum.z_star, inst.pi
 
-    states = iterate(engine, inst.weights, inst.problem, alpha, z0=z0, theta=theta)
+    states = iterate(engine, inst, alpha, z0=z0, theta=theta)
     s = next(states)
     target = np.tile(z_star, (s.n, 1))
     denom = float(np.linalg.norm(s.z - target)) or 1.0

@@ -294,7 +294,7 @@ def verify_key_relation(
     """Check ``t_k <= G t_{k-1} + H_{k-1} s_{k-1}`` elementwise along a run.
 
     ``states`` is an iterable of a tracked engine's states ``k = 0, 1, ...``,
-    such as ``itertools.islice(algorithms.iterate("addopt", ...), K + 1)``;
+    such as ``itertools.islice(algorithms.iterate("addopt", inst, alpha), K + 1)``;
     it is walked once, pairwise, and not kept.  ``s_k = [|x_k|_2, 0, 0]``,
     and ``H`` decays with the certified push-sum envelope
     ``push_sum_envelope(profile.spectral)``, so a profile without spectral

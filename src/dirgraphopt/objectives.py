@@ -472,9 +472,9 @@ def stack(objectives) -> StackedProblem:
     return _stack_logistic(agents)
 
 
-def stacked_gradient(problem, z_rows: np.ndarray) -> np.ndarray:
+def stacked_gradient(problem: StackedProblem, z_rows: np.ndarray) -> np.ndarray:
     """Row ``i`` is agent ``i``'s gradient at its own point ``z_rows[i]``."""
-    return stack(problem).gradient(z_rows)
+    return problem.gradient(z_rows)
 
 
 def _agent_order_sum(rows: np.ndarray) -> np.ndarray:

@@ -165,10 +165,10 @@ def test_criterion_05_step_ceiling_closed_form_vs_bisection():
     )
 
 
-def invariant_deviation(weights, objs, alpha: float) -> float:
-    states = itertools.islice(algorithms.iterate("addopt", weights, objs, alpha), 1001)
+def invariant_deviation(inst: algorithms.Instance, alpha: float) -> float:
+    states = itertools.islice(algorithms.iterate("addopt", inst, alpha), 1001)
     worst = 0.0
-    n = weights.n
+    n = inst.weights.n
     for prev, cur in itertools.pairwise(states):
         tracker_gap = np.abs(prev.w.mean(axis=0) - prev.grad.mean(axis=0))
         descent_gap = np.abs(
@@ -182,11 +182,11 @@ def invariant_deviation(weights, objs, alpha: float) -> float:
     return worst
 
 
-def test_criterion_06_trajectory_invariants(fig1_weights, canonical_objs):
-    dev_logistic = invariant_deviation(fig1_weights, canonical_objs, 0.08)
+def test_criterion_06_trajectory_invariants(canonical_inst):
+    dev_logistic = invariant_deviation(canonical_inst, 0.08)
     quads = quadratic_set(6, 2, seed=0)
-    w_rand = digraph.uniform_weights(digraph.random_digraph(6, 8, seed=2))
-    dev_quadratic = invariant_deviation(w_rand, quads, 0.05)
+    rand = experiments.prepare(digraph.random_digraph(6, 8, seed=2), quads)
+    dev_quadratic = invariant_deviation(rand, 0.05)
     worst = max(dev_logistic, dev_quadratic)
     record_acceptance(
         6,
@@ -209,14 +209,14 @@ def recursion_check_on_random_graphs(sigma_scale: float = 1.0) -> tuple[int, flo
         n = int(rng.integers(6, 14))
         extras = int(rng.integers(4, 3 * n))
         g = digraph.random_digraph(n, extras, seed=100 + trial)
-        w = digraph.uniform_weights(g)
         data = objectives.generate_dataset(n, 10, 3, seed=50 + trial, reg=0.5)
         objs = objectives.logistic_objective(data)
+        inst = experiments.prepare(g, objs)
         l, s = objectives.network_constants(objs)
-        profile = analysis.build_profile(w, l, s)
+        profile = analysis.build_profile(inst.weights, l, s)
         alpha = analysis.alpha_upper_bound(profile) / 2
-        opt = objectives.centralized_solve(objs)
-        states = itertools.islice(algorithms.iterate("addopt", w, objs, alpha), 201)
+        opt = inst.optimum
+        states = itertools.islice(algorithms.iterate("addopt", inst, alpha), 201)
         sigma = sigma_scale * profile.sigma
         spec = dataclasses.replace(profile.spectral, sigma=sigma)
         profile = dataclasses.replace(profile, sigma=sigma, spectral=spec)
@@ -270,12 +270,12 @@ def test_criterion_08_mixing_contracts_in_constructed_norm(fig1_graph):
     )
 
 
-def test_criterion_09_zero_step_recovers_initial_average(fig1_weights):
+def test_criterion_09_zero_step_recovers_initial_average(fig1_graph):
     rng = np.random.default_rng(5)
     z0 = rng.standard_normal((10, 3))
-    quads = quadratic_set(10, 3, seed=1)
+    inst = experiments.prepare(fig1_graph, quadratic_set(10, 3, seed=1))
     *_, last = itertools.islice(
-        algorithms.iterate("addopt", fig1_weights, quads, 0.0, z0=z0), 501
+        algorithms.iterate("addopt", inst, 0.0, z0=z0), 501
     )
     deviation = float(np.max(np.abs(last.z - z0.mean(axis=0))))
     record_acceptance(

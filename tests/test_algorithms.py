@@ -13,11 +13,9 @@ from dirgraphopt import algorithms, digraph, objectives
 from dirgraphopt.algorithms import (
     OVERFLOW_GUARD,
     DivergenceError,
-    addopt_init,
     addopt_step,
     dextra_step,
     dextra_tilde,
-    gradient_push_init,
     gradient_push_step,
     inv_sqrt_steps,
     iterate,
@@ -53,8 +51,8 @@ def ring4_inst(quad4):
 # ---------------------------------------------------------------------------
 
 
-def test_tracked_init_seeds_tracker_with_gradient(quad4):
-    s = addopt_init(quad4)
+def test_tracked_init_seeds_tracker_with_gradient(ring4_inst, quad4):
+    s = next(iterate("addopt", ring4_inst, 0.05))
     assert s.k == 0
     np.testing.assert_array_equal(s.x, 0.0)
     np.testing.assert_array_equal(s.y, 1.0)
@@ -65,16 +63,24 @@ def test_tracked_init_seeds_tracker_with_gradient(quad4):
     np.testing.assert_array_equal(s.w, s.grad)
 
 
-def test_custom_start_state(quad4):
+def test_custom_start_state(ring4_inst, quad4):
     z0 = np.full((4, 2), 2.5)
-    s = addopt_init(quad4, z0)
+    s = next(iterate("addopt", ring4_inst, 0.05, z0=z0))
     np.testing.assert_array_equal(s.x, z0)
+    np.testing.assert_array_equal(s.z, z0)
+    expected = np.array([o.gradient(z) for o, z in zip(quad4, z0)])
+    np.testing.assert_allclose(s.w, expected, atol=1e-15)
+    # the start state holds a copy: writing into z0 later leaves it alone
+    z0[0, 0] = -1.0
+    assert s.x[0, 0] == s.z[0, 0] == 2.5
     with pytest.raises(ValueError, match="shape"):
-        addopt_init(quad4, np.zeros((3, 2)))
+        iterate("addopt", ring4_inst, 0.05, z0=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        iterate("addopt", ring4_inst, 0.05, z0=np.full((4, 2), 2 * OVERFLOW_GUARD))
 
 
-def test_baseline_init_has_no_tracker(quad4):
-    s = gradient_push_init(quad4)
+def test_baseline_init_has_no_tracker(ring4_inst):
+    s = next(iterate("gp", ring4_inst, "1/sqrt(k)"))
     assert s.w is None and s.grad is None
     assert s.n == 4 and s.p == 2
 
@@ -84,9 +90,9 @@ def test_baseline_init_has_no_tracker(quad4):
 # ---------------------------------------------------------------------------
 
 
-def test_tracked_step_matches_hand_computed_matrices(ring4, quad4):
+def test_tracked_step_matches_hand_computed_matrices(ring4, ring4_inst, quad4):
     alpha = 0.05
-    s0 = addopt_init(quad4)
+    s0 = next(iterate("addopt", ring4_inst, alpha))
     s1 = addopt_step(s0, ring4, alpha)
     a = ring4.entries
     x1 = a @ s0.x - alpha * s0.w
@@ -101,8 +107,8 @@ def test_tracked_step_matches_hand_computed_matrices(ring4, quad4):
     assert s1.k == 1
 
 
-def test_tracker_sum_is_conserved(ring4, quad4):
-    s = addopt_init(quad4)
+def test_tracker_sum_is_conserved(ring4, ring4_inst, quad4):
+    s = next(iterate("addopt", ring4_inst, 0.02))
     for _ in range(200):
         s = addopt_step(s, ring4, 0.02)
         grads = np.array([o.gradient(z) for o, z in zip(quad4, s.z)])
@@ -111,11 +117,11 @@ def test_tracker_sum_is_conserved(ring4, quad4):
         )
 
 
-def test_zero_step_reduces_to_average_consensus(fig1_weights):
-    objs = quadratic_set(10, 3, seed=4)
+def test_zero_step_reduces_to_average_consensus(fig1_graph, fig1_weights):
+    inst = prepare(fig1_graph, quadratic_set(10, 3, seed=4))
     rng = np.random.default_rng(5)
     z0 = rng.standard_normal((10, 3))
-    s = addopt_init(objs, z0)
+    s = next(iterate("addopt", inst, 0.0, z0=z0))
     target = z0.mean(axis=0)
     for _ in range(500):
         s = addopt_step(s, fig1_weights, 0.0)
@@ -125,20 +131,20 @@ def test_zero_step_reduces_to_average_consensus(fig1_weights):
 def test_doubly_stochastic_mixing_keeps_unit_scalars():
     # symmetric equal splits: scalars stay exactly 1, estimates equal raw states
     g = digraph.Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)])
-    w = digraph.uniform_weights(g)
-    objs = quadratic_set(4, 2, seed=2)
-    s = addopt_init(objs)
+    inst = prepare(g, quadratic_set(4, 2, seed=2))
+    w = inst.weights
+    s = next(iterate("addopt", inst, 0.05))
     for _ in range(50):
         s = addopt_step(s, w, 0.05)
         np.testing.assert_allclose(s.y, 1.0, atol=1e-12)
         np.testing.assert_allclose(s.z, s.x, atol=1e-12)
 
 
-def test_collapsed_two_step_identity(fig1_weights, canonical_objs):
+def test_collapsed_two_step_identity(fig1_weights, canonical_inst):
     # eliminating the tracker yields
     # x_{k+1} = 2 A x_k - A^2 x_{k-1} - alpha (grad_k - grad_{k-1})
     alpha = 0.05
-    states = list(islice(iterate("addopt", fig1_weights, canonical_objs, alpha), 51))
+    states = list(islice(iterate("addopt", canonical_inst, alpha), 51))
     a = fig1_weights.entries
     for prev, cur, nxt in zip(states, states[1:], states[2:]):
         predicted = (
@@ -149,8 +155,8 @@ def test_collapsed_two_step_identity(fig1_weights, canonical_objs):
         assert np.max(np.abs(nxt.x - predicted)) < 1e-9
 
 
-def test_divergence_raises_with_iteration_index(ring4, quad4):
-    s = addopt_init(quad4)
+def test_divergence_raises_with_iteration_index(ring4, ring4_inst):
+    s = next(iterate("addopt", ring4_inst, 5.0))
     with pytest.raises(DivergenceError) as exc_info:
         for _ in range(400):
             s = addopt_step(s, ring4, 5.0)
@@ -174,10 +180,11 @@ def test_corrector_matrix_validation(ring4):
     )
 
 
-def test_two_step_bootstrap_definition(ring4, quad4):
+def test_two_step_bootstrap_definition(ring4, ring4_inst, quad4):
     # from a start state (no x_prev) the step is x1 = A x0 - alpha grad(z0)
     alpha = 0.1
-    s1 = dextra_step(gradient_push_init(quad4), ring4, alpha, dextra_tilde(ring4, 0.5))
+    s0 = next(iterate("dextra", ring4_inst, alpha))
+    s1 = dextra_step(s0, ring4, alpha, dextra_tilde(ring4, 0.5))
     x0 = np.zeros((4, 2))
     g0 = np.array([o.gradient(z) for o, z in zip(quad4, x0)])
     np.testing.assert_allclose(
@@ -188,14 +195,15 @@ def test_two_step_bootstrap_definition(ring4, quad4):
     np.testing.assert_array_equal(s1.grad_prev, g0)
 
 
-def test_two_step_coincides_with_tracked_engine_on_identity_mixing(quad4):
+def test_two_step_coincides_with_tracked_engine_on_identity_mixing(ring4_inst):
     # with identity mixing both engines reduce to the same decentralized
-    # gradient recursion, step for step
+    # gradient recursion, step for step; the start states do not depend on
+    # the mixing, so ring4's serve
     eye = WeightMatrix(np.eye(4))
     alpha, theta = 0.1, 0.37
     tilde = dextra_tilde(eye, theta)
-    s_two = dextra_step(gradient_push_init(quad4), eye, alpha, tilde)
-    s_tracked = addopt_step(addopt_init(quad4), eye, alpha)
+    s_two = dextra_step(next(iterate("dextra", ring4_inst, alpha)), eye, alpha, tilde)
+    s_tracked = addopt_step(next(iterate("addopt", ring4_inst, alpha)), eye, alpha)
     for _ in range(40):
         np.testing.assert_allclose(s_two.x, s_tracked.x, atol=1e-12)
         np.testing.assert_allclose(s_two.z, s_tracked.z, atol=1e-12)
@@ -233,11 +241,11 @@ def test_two_step_fails_below_its_stability_window(canonical_inst):
 # ---------------------------------------------------------------------------
 
 
-def test_baseline_zero_steps_is_pure_consensus(fig1_weights):
-    objs = quadratic_set(10, 2, seed=8)
+def test_baseline_zero_steps_is_pure_consensus(fig1_graph, fig1_weights):
+    inst = prepare(fig1_graph, quadratic_set(10, 2, seed=8))
     rng = np.random.default_rng(9)
     z0 = rng.standard_normal((10, 2))
-    s = gradient_push_init(objs, z0)
+    s = next(iterate("gp", inst, 0.0, z0=z0))
     for _ in range(500):
         s = gradient_push_step(s, fig1_weights, 0.0)
     np.testing.assert_allclose(s.z, np.tile(z0.mean(axis=0), (10, 1)), atol=1e-10)
@@ -299,7 +307,7 @@ def test_run_reaches_fixed_point_consensus(canonical_objs, canonical_inst):
     trace = run("addopt", canonical_inst, 0.08, 500, 1e-10)
     assert trace.final_residual <= 1e-10
     *_, final = islice(
-        iterate("addopt", canonical_inst.weights, canonical_inst.problem, 0.08),
+        iterate("addopt", canonical_inst, 0.08),
         trace.iterations + 1,
     )
     spread = np.max(
@@ -319,25 +327,25 @@ def test_run_engine_name_validation(ring4_inst):
     assert trace.algorithm == "gradient_push"
 
 
-def test_iterate_checks_its_arguments_when_called(ring4, quad4):
+def test_iterate_checks_its_arguments_when_called(ring4_inst):
     # each call raises before any next(), so no generator is ever started
     with pytest.raises(ValueError, match="unknown algorithm"):
-        iterate("sgd", ring4, quad4, 0.1)
+        iterate("sgd", ring4_inst, 0.1)
     with pytest.raises(ValueError, match="constant step"):
-        iterate("dextra", ring4, quad4, "1/sqrt(k)")
+        iterate("dextra", ring4_inst, "1/sqrt(k)")
     with pytest.raises(ValueError, match="step-size spec"):
-        iterate("gp", ring4, quad4, "1/k")
+        iterate("gp", ring4_inst, "1/k")
     with pytest.raises(ValueError, match="theta"):
-        iterate("dextra", ring4, quad4, 0.1, theta=0.7)
+        iterate("dextra", ring4_inst, 0.1, theta=0.7)
     with pytest.raises(ValueError, match="shape"):
-        iterate("addopt", ring4, quad4, 0.1, z0=np.zeros((3, 2)))
+        iterate("addopt", ring4_inst, 0.1, z0=np.zeros((3, 2)))
     with pytest.raises(ValueError, match="finite"):
-        iterate("gp", ring4, quad4, 0.1, z0=np.full((4, 2), np.nan))
+        iterate("gp", ring4_inst, 0.1, z0=np.full((4, 2), np.nan))
 
 
-def test_iterate_is_endless_and_starts_every_engine_at_k0(ring4, quad4):
+def test_iterate_is_endless_and_starts_every_engine_at_k0(ring4_inst):
     for alg in ENGINES:
-        states = list(islice(iterate(alg, ring4, quad4, BLOCK_ALPHAS[alg]), 5))
+        states = list(islice(iterate(alg, ring4_inst, BLOCK_ALPHAS[alg]), 5))
         assert [s.k for s in states] == [0, 1, 2, 3, 4]
         np.testing.assert_array_equal(states[0].x, 0.0)
 
@@ -420,13 +428,13 @@ def test_engines_and_reference_solve_never_call_per_agent_gradients(
             assert trace.residual.tobytes() == before.residual.tobytes()
 
 
-def test_swarm_holds_the_stacked_problem(ring4, quad4):
-    for swarm in (addopt_init(quad4), gradient_push_init(quad4)):
-        assert isinstance(swarm.objectives, objectives.StackedQuadratic)
-        assert swarm.objectives.agents == quad4
-    problem = objectives.stack(quad4)
-    for swarm in islice(iterate("dextra", ring4, problem, 0.05), 3):
-        assert swarm.objectives is problem
+def test_swarm_holds_the_stacked_problem(ring4_inst, quad4):
+    problem = ring4_inst.problem
+    assert isinstance(problem, objectives.StackedQuadratic)
+    assert problem.agents == quad4
+    for alg in ENGINES:
+        for swarm in islice(iterate(alg, ring4_inst, 0.05), 3):
+            assert swarm.objectives is problem
 
 
 def array_bytes(obj) -> dict:
@@ -445,7 +453,9 @@ def array_bytes(obj) -> dict:
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("family", ["logistic", "logistic_unequal", "quadratic"])
-def test_a_step_never_writes_into_its_input_state(fig1_weights, canonical_objs, engine, family):
+def test_a_step_never_writes_into_its_input_state(
+    fig1_graph, fig1_weights, canonical_objs, engine, family
+):
     # the recorder keeps a state's arrays until it reduces its block, so a
     # step that wrote into them would corrupt the trace without a sound
     if family == "logistic":
@@ -460,13 +470,13 @@ def test_a_step_never_writes_into_its_input_state(fig1_weights, canonical_objs, 
     else:
         objs = quadratic_set(10, 3, seed=5)
     tilde = dextra_tilde(fig1_weights, 0.5)
-    init = addopt_init if engine == "addopt" else gradient_push_init
     step, extra = {
         "addopt": (addopt_step, ()),
         "dextra": (dextra_step, (tilde,)),
         "gradient_push": (gradient_push_step, ()),
     }[engine]
-    s = init(objs, z0=np.random.default_rng(3).standard_normal((10, 3)))
+    z0 = np.random.default_rng(3).standard_normal((10, 3))
+    s = next(iterate(engine, prepare(fig1_graph, objs), 0.05, z0=z0))
     # dextra's first step is its bootstrap, the next ones the two-step update
     for k in range(1, 4):
         before = array_bytes(s), array_bytes(fig1_weights), array_bytes(tilde)
@@ -545,7 +555,7 @@ def test_block_recorder_matches_per_step_recorder_at_block_edges(
     inst = block_problems(n, p)
     alpha = BLOCK_ALPHAS[algorithm]
     block = algorithms._block_steps(n, p)
-    states = list(islice(iterate(algorithm, inst.weights, inst.problem, alpha), 2 * block + 2))
+    states = list(islice(iterate(algorithm, inst, alpha), 2 * block + 2))
     expected = per_step_columns(states, inst.optimum.z_star, inst.pi)
     for iters in (0, block - 1, block, block + 1, 2 * block + 1):
         trace = run(algorithm, inst, alpha, iters)
@@ -568,7 +578,7 @@ def test_block_recorder_divergence_keeps_the_finite_records(
     inst = block_problems(10, 3)
     alpha = BLOCK_ALPHAS[algorithm]
     block = algorithms._block_steps(10, 3)
-    states = list(islice(iterate(algorithm, inst.weights, inst.problem, alpha), 2 * block + 2))
+    states = list(islice(iterate(algorithm, inst, alpha), 2 * block + 2))
     expected = per_step_columns(states, inst.optimum.z_star, inst.pi)
     # the first block holds k = 0 .. block-1, so step k = block is the first
     # one after a flush

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirgraphopt import algorithms, analysis, digraph, objectives
+from dirgraphopt import algorithms, analysis, digraph, experiments, objectives
 from dirgraphopt.algorithms import Trace, iterate, run
 from dirgraphopt.analysis import (
     ConvergenceProfile,
@@ -226,17 +226,17 @@ def test_vanishing_correction_matrix_pattern():
 
 
 def test_error_vector_closed_form_two_agents():
-    w = digraph.uniform_weights(digraph.complete_digraph(2))
     objs = (
         objectives.quadratic_objective([2.0], [1.0]),
         objectives.quadratic_objective([-1.0], [3.0]),
     )
+    inst = experiments.prepare(digraph.complete_digraph(2), objs)
     l, s = objectives.network_constants(objs)
-    profile = build_profile(w, l, s)
-    opt = objectives.centralized_solve(objs)
+    profile = build_profile(inst.weights, l, s)
+    opt = inst.optimum
     z_star = (1.0 * 2.0 + 3.0 * -1.0) / (1.0 + 3.0)
     np.testing.assert_allclose(opt.z_star, [z_star], atol=1e-10)
-    swarm = algorithms.addopt_init(objs)
+    swarm = next(iterate("addopt", inst, 0.0))
     t = t_vector(swarm, profile, opt.z_star)
     # symmetric two-agent mixing: sigma = 0 and the norm transform is trivial
     assert profile.sigma == 0.0
@@ -248,16 +248,16 @@ def test_error_vector_closed_form_two_agents():
     np.testing.assert_allclose(t, expected, atol=1e-12)
 
 
-def test_error_vector_zero_at_consensus_optimum(fig1_weights, fig1_profile,
-                                                canonical_objs, canonical_opt):
+def test_error_vector_zero_at_consensus_optimum(fig1_profile, canonical_inst,
+                                                canonical_opt):
     z_star = canonical_opt.z_star
     y_inf = 10 * fig1_profile.spectral.pi
     grad = objectives.stacked_gradient(
-        canonical_objs, np.tile(z_star, (10, 1))
+        canonical_inst.problem, np.tile(z_star, (10, 1))
     )
     gbar = grad.mean(axis=0)
     swarm = algorithms.AgentSwarm(
-        objectives=canonical_objs,
+        objectives=canonical_inst.problem,
         x=np.outer(y_inf, z_star),
         y=y_inf.copy(),
         z=np.tile(z_star, (10, 1)),
@@ -269,30 +269,29 @@ def test_error_vector_zero_at_consensus_optimum(fig1_weights, fig1_profile,
     np.testing.assert_allclose(t, 0.0, atol=1e-10)
 
 
-def test_error_vector_requires_tracker_and_spectral_data(fig1_profile, quad4=None):
-    objs = quadratic_set(10, 2, seed=0)
-    baseline = algorithms.gradient_push_init(objs)
+def test_error_vector_requires_tracker_and_spectral_data(fig1_graph, fig1_profile):
+    inst = experiments.prepare(fig1_graph, quadratic_set(10, 2, seed=0))
+    baseline = next(iterate("gp", inst, "1/sqrt(k)"))
     with pytest.raises(ValueError, match="tracker"):
         t_vector(baseline, fig1_profile, np.zeros(2))
     bare = abstract_profile()
-    tracked = algorithms.addopt_init(objs)
+    tracked = next(iterate("addopt", inst, 0.0))
     with pytest.raises(ValueError, match="spectral"):
         t_vector(tracked, bare, np.zeros(2))
 
 
-def test_error_vector_nonnegative_along_run(fig1_weights, fig1_profile,
-                                            canonical_objs, canonical_opt):
-    states = islice(iterate("addopt", fig1_weights, canonical_objs, 0.001), 51)
+def test_error_vector_nonnegative_along_run(fig1_profile, canonical_inst, canonical_opt):
+    states = islice(iterate("addopt", canonical_inst, 0.001), 51)
     for s in states:
         t = t_vector(s, fig1_profile, canonical_opt.z_star)
         assert np.all(t >= 0.0)
 
 
-def test_error_vector_decay_rate_bounded_by_radius(fig1_weights, fig1_profile,
-                                                   canonical_objs, canonical_opt):
+def test_error_vector_decay_rate_bounded_by_radius(fig1_profile, canonical_inst,
+                                                   canonical_opt):
     alpha = 0.6 * alpha_upper_bound(fig1_profile)
     rho = spectral_radius(build_G(fig1_profile, alpha))
-    states = islice(iterate("addopt", fig1_weights, canonical_objs, alpha), 601)
+    states = islice(iterate("addopt", canonical_inst, alpha), 601)
     norms = np.array(
         [np.linalg.norm(t_vector(s, fig1_profile, canonical_opt.z_star))
          for s in states]
@@ -349,34 +348,31 @@ def test_envelope_single_node_is_zero():
     assert push_sum_envelope(spec) == (0.0, 0.0)
 
 
-def test_key_relation_holds_on_benchmark(fig1_weights, fig1_profile,
-                                         canonical_objs, canonical_opt):
+def test_key_relation_holds_on_benchmark(fig1_profile, canonical_inst, canonical_opt):
     alpha = 0.5 * alpha_upper_bound(fig1_profile)
-    states = islice(iterate("addopt", fig1_weights, canonical_objs, alpha), 101)
+    states = islice(iterate("addopt", canonical_inst, alpha), 101)
     report = verify_key_relation(states, fig1_profile, canonical_opt.z_star, alpha)
     assert report.ok
     assert report.steps_checked == 100
     assert report.violations == 0
 
 
-def test_key_relation_holds_at_zero_step(fig1_weights, fig1_profile,
-                                         canonical_objs, canonical_opt):
-    states = islice(iterate("addopt", fig1_weights, canonical_objs, 0.0), 101)
+def test_key_relation_holds_at_zero_step(fig1_profile, canonical_inst, canonical_opt):
+    states = islice(iterate("addopt", canonical_inst, 0.0), 101)
     report = verify_key_relation(states, fig1_profile, canonical_opt.z_star, 0.0)
     assert report.ok
 
 
 def test_key_relation_doubly_stochastic_drops_correction():
-    w = digraph.uniform_weights(digraph.ring_digraph(6))
     data = objectives.generate_dataset(6, 10, 3, seed=9, reg=0.1)
     objs = objectives.logistic_objective(data)
+    inst = experiments.prepare(digraph.ring_digraph(6), objs)
     l, s = objectives.network_constants(objs)
-    profile = build_profile(w, l, s)
-    opt = objectives.centralized_solve(objs)
+    profile = build_profile(inst.weights, l, s)
     assert push_sum_envelope(profile.spectral)[1] == 0.0
     alpha = 0.5 * alpha_upper_bound(profile)
-    states = islice(iterate("addopt", w, objs, alpha), 101)
-    report = verify_key_relation(states, profile, opt.z_star, alpha)
+    states = islice(iterate("addopt", inst, alpha), 101)
+    report = verify_key_relation(states, profile, inst.optimum.z_star, alpha)
     assert report.ok
 
 
@@ -384,43 +380,40 @@ def test_key_relation_sensitivity_catches_tight_instances():
     # equal-curvature quadratics leave no slack in the mean-error row: the
     # certified recursion genuinely fails elementwise there, and the checker
     # must say so rather than smooth it over
-    w = digraph.uniform_weights(digraph.random_digraph(8, 12, seed=101))
     objs = quadratic_set(8, 3, seed=0, curvature=1.0)
-    profile = build_profile(w, 1.0, 1.0)
-    opt = objectives.centralized_solve(objs)
+    inst = experiments.prepare(digraph.random_digraph(8, 12, seed=101), objs)
+    profile = build_profile(inst.weights, 1.0, 1.0)
     alpha = 0.5 * alpha_upper_bound(profile)
-    states = islice(iterate("addopt", w, objs, alpha), 201)
-    report = verify_key_relation(states, profile, opt.z_star, alpha)
+    states = islice(iterate("addopt", inst, alpha), 201)
+    report = verify_key_relation(states, profile, inst.optimum.z_star, alpha)
     assert report.violations > 0
     assert report.worst_margin < 0
 
 
 def test_key_relation_holds_on_40_node_random_digraph():
-    w = digraph.uniform_weights(digraph.random_digraph(40, 160, seed=1))
     data = objectives.generate_dataset(40, 10, 3, seed=1, reg=0.5)
     objs = objectives.logistic_objective(data)
+    inst = experiments.prepare(digraph.random_digraph(40, 160, seed=1), objs)
     l, s = objectives.network_constants(objs)
-    profile = build_profile(w, l, s)
-    opt = objectives.centralized_solve(objs)
+    profile = build_profile(inst.weights, l, s)
     alpha = 0.5 * alpha_upper_bound(profile)
-    states = islice(iterate("addopt", w, objs, alpha), 201)
-    report = verify_key_relation(states, profile, opt.z_star, alpha)
+    states = islice(iterate("addopt", inst, alpha), 201)
+    report = verify_key_relation(states, profile, inst.optimum.z_star, alpha)
     assert report.ok
 
 
 def test_key_relation_runs_on_a_complete_graph():
     # uniform weights on a complete graph mix to the limit in one round, so
     # sigma and the envelope are both 0
-    w = digraph.uniform_weights(digraph.complete_digraph(5))
     data = objectives.generate_dataset(5, 10, 3, seed=4, reg=0.5)
     objs = objectives.logistic_objective(data)
+    inst = experiments.prepare(digraph.complete_digraph(5), objs)
     l, s = objectives.network_constants(objs)
-    profile = build_profile(w, l, s)
+    profile = build_profile(inst.weights, l, s)
     assert push_sum_envelope(profile.spectral) == (0.0, 0.0)
-    opt = objectives.centralized_solve(objs)
     alpha = 0.5 * alpha_upper_bound(profile)
-    states = islice(iterate("addopt", w, objs, alpha), 51)
-    report = verify_key_relation(states, profile, opt.z_star, alpha)
+    states = islice(iterate("addopt", inst, alpha), 51)
+    report = verify_key_relation(states, profile, inst.optimum.z_star, alpha)
     assert report.ok
 
 

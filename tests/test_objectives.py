@@ -307,7 +307,7 @@ def test_stacked_and_total_gradient_consistency():
         for _ in range(4)
     )
     z = rng.standard_normal(2)
-    rows = stacked_gradient(objs, np.tile(z, (4, 1)))
+    rows = stacked_gradient(stack(objs), np.tile(z, (4, 1)))
     np.testing.assert_allclose(rows.sum(axis=0), total_gradient(objs, z), atol=1e-12)
     assert total_value(objs, z) == sum(o.value(z) for o in objs)
 
