@@ -76,7 +76,9 @@ class DivergenceError(RuntimeError):
 class Instance:
     """The problem every lane of a command runs on: the mixing ``weights``,
     their stationary vector ``pi``, the stacked ``problem`` and its ``optimum``,
-    as :func:`~dirgraphopt.experiments.prepare` builds them together."""
+    as :func:`~dirgraphopt.experiments.prepare` builds them together.  Every
+    engine step reads ``weights`` and ``problem`` from it; the states that
+    :func:`iterate` yields hold only iterates."""
 
     weights: WeightMatrix
     problem: StackedProblem
@@ -92,15 +94,14 @@ class AgentSwarm:
     (summing to n for column-stochastic mixing), ``z = x / y`` the estimates,
     ``w`` the gradient tracker (engines without tracking leave it ``None``).
     ``grad`` caches each agent's gradient at its current ``z``; two-step
-    engines also keep the previous ``x`` and gradient.  ``objectives`` is the
-    stacked problem of the :class:`Instance` that
-    :func:`~dirgraphopt.experiments.prepare` builds.
+    engines also keep the previous ``x`` and gradient.  The state holds only
+    iterates: the mixing weights and the stacked problem are fixed data of
+    the :class:`Instance` that every step takes.
 
     A step builds a new state and never writes into the arrays of the one it
     reads: the trace recorder keeps those arrays until its block is reduced.
     """
 
-    objectives: StackedProblem
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -140,24 +141,24 @@ def _default_z0(problem: StackedProblem, z0) -> np.ndarray:
     return z0.copy()
 
 
-def addopt_step(s: AgentSwarm, weights: WeightMatrix, alpha: float) -> AgentSwarm:
+def addopt_step(s: AgentSwarm, inst: Instance, alpha: float) -> AgentSwarm:
     """One tracked push-sum iteration; all updates read the pre-step state.
 
     Each update accumulates into its fresh mixed product, in the operation
     order of ``x = A x - alpha w`` and ``w = A w + grad - grad_old``.  The
     mixes call ``ndarray.dot``, which makes the same BLAS call as ``@`` on
     2-D operands with less dispatch overhead."""
-    a = weights.entries
+    a = inst.weights.entries
     x = a.dot(s.x)
     x -= alpha * s.w
     _check_finite(x, s.k + 1)
     y = a.dot(s.y)
     z = x / y[:, None]
-    grad = stacked_gradient(s.objectives, z)
+    grad = stacked_gradient(inst.problem, z)
     w = a.dot(s.w)
     w += grad
     w -= s.grad
-    return AgentSwarm(s.objectives, x, y, z, w, grad, s.k + 1)
+    return AgentSwarm(x, y, z, w, grad, s.k + 1)
 
 
 def dextra_tilde(weights: WeightMatrix, theta: float) -> WeightMatrix:
@@ -169,12 +170,12 @@ def dextra_tilde(weights: WeightMatrix, theta: float) -> WeightMatrix:
 
 
 def dextra_step(
-    s: AgentSwarm, weights: WeightMatrix, alpha: float, tilde: WeightMatrix
+    s: AgentSwarm, inst: Instance, alpha: float, tilde: WeightMatrix
 ) -> AgentSwarm:
     """One corrected two-step iteration; a start state (no ``x_prev``) takes
     the bootstrap step ``x1 = A x0 - alpha * grad(z0)`` instead."""
-    a = weights.entries
-    grad = stacked_gradient(s.objectives, s.z)
+    a = inst.weights.entries
+    grad = stacked_gradient(inst.problem, s.z)
     x = a.dot(s.x)
     if s.x_prev is None:
         x -= alpha * grad
@@ -187,22 +188,19 @@ def dextra_step(
     y = a.dot(s.y)
     z = x / y[:, None]
     return AgentSwarm(
-        s.objectives, x, y, z, w=None, grad=None, k=s.k + 1,
-        x_prev=s.x, grad_prev=grad,
+        x, y, z, w=None, grad=None, k=s.k + 1, x_prev=s.x, grad_prev=grad
     )
 
 
-def gradient_push_step(
-    s: AgentSwarm, weights: WeightMatrix, alpha_k: float
-) -> AgentSwarm:
+def gradient_push_step(s: AgentSwarm, inst: Instance, alpha_k: float) -> AgentSwarm:
     """Plain push-sum mix, then a subgradient correction at the de-biased point."""
-    a = weights.entries
+    a = inst.weights.entries
     x = a.dot(s.x)
     y = a.dot(s.y)
     z = x / y[:, None]
-    x -= alpha_k * stacked_gradient(s.objectives, z)
+    x -= alpha_k * stacked_gradient(inst.problem, z)
     _check_finite(x, s.k + 1)
-    return AgentSwarm(s.objectives, x, y, z, w=None, grad=None, k=s.k + 1)
+    return AgentSwarm(x, y, z, w=None, grad=None, k=s.k + 1)
 
 
 def inv_sqrt_steps(k: int) -> float:
@@ -372,23 +370,23 @@ def iterate(
     ``itertools.islice(iterate(...), K + 1)``.
     """
     engine, alpha_fn, _ = _step_rule(algorithm, alpha)
-    weights, problem = inst.weights, inst.problem
+    problem = inst.problem
     z = _default_z0(problem, z0)
-    s = AgentSwarm(problem, z, np.ones(problem.n), z, w=None, grad=None, k=0)
+    s = AgentSwarm(z, np.ones(problem.n), z, w=None, grad=None, k=0)
     # the step functions are looked up here, at each call, so that rebinding
     # a module-level name (a timer, a test double) reaches the next run
     if engine == "addopt":
         s.w = s.grad = stacked_gradient(problem, z)
         step, extra = addopt_step, ()
     elif engine == "dextra":
-        step, extra = dextra_step, (dextra_tilde(weights, theta),)
+        step, extra = dextra_step, (dextra_tilde(inst.weights, theta),)
     else:
         step, extra = gradient_push_step, ()
 
     def states(s: AgentSwarm) -> Iterator[AgentSwarm]:
         yield s
         for k in itertools.count(1):
-            s = step(s, weights, alpha_fn(k), *extra)
+            s = step(s, inst, alpha_fn(k), *extra)
             yield s
 
     return states(s)

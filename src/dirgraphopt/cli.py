@@ -65,6 +65,8 @@ def _cmd_data(args) -> int:
         objectives.save_dataset_csv(data, args.out)
         print(f"wrote {args.out}")
         return 0
+    if args.data is None:
+        raise experiments.ConfigError("data solve needs --data FILE")
     data = objectives.load_dataset_csv(args.data, reg=args.reg)
     objs = objectives.logistic_objective(data)
     opt = objectives.centralized_solve(objs)

@@ -34,7 +34,7 @@ __all__ = [
     "nested_chain",
 ]
 
-#: push-sum iterates and mixing powers are compared at this tolerance
+#: how far a ``WeightMatrix`` column may sum from 1
 COLUMN_SUM_TOL = 1e-12
 
 #: the doubling series stops once every entry of ``B^(2^j)`` is below this

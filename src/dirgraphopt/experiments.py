@@ -266,7 +266,7 @@ def build_objectives(cfg: ExperimentConfig, n: int, seed: int | None = None):
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((n, cfg.dim))
     return tuple(
-        objectives.quadratic_objective(centers[i], np.ones(cfg.dim))
+        objectives.Quadratic(centers[i], np.ones(cfg.dim))
         for i in range(n)
     )
 

@@ -21,13 +21,11 @@ import numpy as np
 from scipy.special import expit
 
 __all__ = [
-    "Objective",
     "Quadratic",
     "Logistic",
     "LogisticData",
     "Optimum",
     "UnconvergedSolveError",
-    "quadratic_objective",
     "logistic_objective",
     "generate_dataset",
     "save_dataset_csv",
@@ -46,27 +44,8 @@ __all__ = [
 ]
 
 
-class Objective:
-    """Smooth strongly-convex function with certified curvature bounds.
-
-    Subclasses must set ``dim``, the gradient-Lipschitz constant
-    ``lipschitz`` and the strong-convexity constant ``strong_convexity``,
-    and implement ``value`` / ``gradient``.
-    """
-
-    dim: int
-    lipschitz: float
-    strong_convexity: float
-
-    def value(self, z: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class Quadratic(Objective):
+class Quadratic:
     """``0.5 * (z - center)' diag(curvature) (z - center)``."""
 
     center: np.ndarray
@@ -103,7 +82,7 @@ class Quadratic(Objective):
 
 
 @dataclass(frozen=True)
-class Logistic(Objective):
+class Logistic:
     """Regularized logistic loss over one agent's examples.
 
     ``value(z) = reg/(2*share) |z|^2 + sum_j log(1 + exp(-label_j f_j' z))``
@@ -124,8 +103,9 @@ class Logistic(Objective):
             raise ValueError("features must be (m, p) with one label per row")
         if not np.all(np.isin(b, (-1.0, 1.0))):
             raise ValueError("labels must be +/-1")
-        if self.reg <= 0 or self.share < 1:
-            raise ValueError("need reg > 0 and share >= 1")
+        # the chained comparison is false for NaN as well
+        if not 0 < self.reg < np.inf or self.share < 1:
+            raise ValueError(f"need a finite reg > 0 and share >= 1, got reg={self.reg}")
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", b)
 
@@ -153,10 +133,6 @@ class Logistic(Objective):
         return self.reg / self.share * z - self.features.T @ weights
 
 
-def quadratic_objective(center, curvature) -> Quadratic:
-    return Quadratic(np.asarray(center, float), np.asarray(curvature, float))
-
-
 @dataclass(frozen=True)
 class LogisticData:
     """Per-agent example sets with +/-1 labels and a shared ridge weight."""
@@ -174,8 +150,8 @@ class LogisticData:
         for f, b in zip(self.features, self.labels):
             if f.shape[0] != b.shape[0] or f.shape[0] < 1:
                 raise ValueError("each agent needs >= 1 labeled example")
-        if self.reg <= 0:
-            raise ValueError("reg must be positive")
+        if not 0 < self.reg < np.inf:
+            raise ValueError(f"reg must be positive and finite, got {self.reg}")
 
     @property
     def n_agents(self) -> int:
@@ -294,8 +270,9 @@ def _rowwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class StackedProblem:
     """All agents' objectives in batched form, built by :func:`stack`.
 
-    ``agents`` keeps the per-agent objects in row order.  Each method takes
-    an ``(n, p)`` array whose row ``i`` is agent ``i``'s point:
+    ``agents`` keeps the per-agent objects in row order.  Each subclass
+    defines three methods that take an ``(n, p)`` array whose row ``i`` is
+    agent ``i``'s point:
 
     - ``value(z_rows)``: the ``(n,)`` values, bit-equal to
       ``agents[i].value(z_rows[i])``;
@@ -313,15 +290,6 @@ class StackedProblem:
     @property
     def dim(self) -> int:
         return self.agents[0].dim
-
-    def value(self, z_rows: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def gradient(self, z_rows: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def hessian(self, z_rows: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def _diagonal(self, rows: np.ndarray) -> np.ndarray:
         """``(n, p, p)`` array with ``rows[i]`` on the diagonal of block ``i``."""

@@ -76,6 +76,6 @@ def quadratic_set(n: int, dim: int, seed: int, curvature: float = 1.0):
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((n, dim))
     return tuple(
-        objectives.quadratic_objective(centers[i], np.full(dim, curvature))
+        objectives.Quadratic(centers[i], np.full(dim, curvature))
         for i in range(n)
     )

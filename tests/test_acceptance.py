@@ -293,7 +293,7 @@ def test_criterion_10_gradients_match_finite_differences():
         rng = np.random.default_rng(j)
         if j % 2 == 0:
             p = int(rng.integers(2, 6))
-            obj = objectives.quadratic_objective(
+            obj = objectives.Quadratic(
                 rng.standard_normal(p), rng.uniform(0.1, 3.0, size=p)
             )
         else:

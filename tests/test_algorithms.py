@@ -93,7 +93,7 @@ def test_baseline_init_has_no_tracker(ring4_inst):
 def test_tracked_step_matches_hand_computed_matrices(ring4, ring4_inst, quad4):
     alpha = 0.05
     s0 = next(iterate("addopt", ring4_inst, alpha))
-    s1 = addopt_step(s0, ring4, alpha)
+    s1 = addopt_step(s0, ring4_inst, alpha)
     a = ring4.entries
     x1 = a @ s0.x - alpha * s0.w
     y1 = a @ s0.y
@@ -110,21 +110,21 @@ def test_tracked_step_matches_hand_computed_matrices(ring4, ring4_inst, quad4):
 def test_tracker_sum_is_conserved(ring4, ring4_inst, quad4):
     s = next(iterate("addopt", ring4_inst, 0.02))
     for _ in range(200):
-        s = addopt_step(s, ring4, 0.02)
+        s = addopt_step(s, ring4_inst, 0.02)
         grads = np.array([o.gradient(z) for o, z in zip(quad4, s.z)])
         np.testing.assert_allclose(
             s.w.sum(axis=0), grads.sum(axis=0), atol=1e-10
         )
 
 
-def test_zero_step_reduces_to_average_consensus(fig1_graph, fig1_weights):
+def test_zero_step_reduces_to_average_consensus(fig1_graph):
     inst = prepare(fig1_graph, quadratic_set(10, 3, seed=4))
     rng = np.random.default_rng(5)
     z0 = rng.standard_normal((10, 3))
     s = next(iterate("addopt", inst, 0.0, z0=z0))
     target = z0.mean(axis=0)
     for _ in range(500):
-        s = addopt_step(s, fig1_weights, 0.0)
+        s = addopt_step(s, inst, 0.0)
     assert np.max(np.abs(s.z - target)) < 1e-10
 
 
@@ -132,10 +132,9 @@ def test_doubly_stochastic_mixing_keeps_unit_scalars():
     # symmetric equal splits: scalars stay exactly 1, estimates equal raw states
     g = digraph.Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)])
     inst = prepare(g, quadratic_set(4, 2, seed=2))
-    w = inst.weights
     s = next(iterate("addopt", inst, 0.05))
     for _ in range(50):
-        s = addopt_step(s, w, 0.05)
+        s = addopt_step(s, inst, 0.05)
         np.testing.assert_allclose(s.y, 1.0, atol=1e-12)
         np.testing.assert_allclose(s.z, s.x, atol=1e-12)
 
@@ -155,11 +154,11 @@ def test_collapsed_two_step_identity(fig1_weights, canonical_inst):
         assert np.max(np.abs(nxt.x - predicted)) < 1e-9
 
 
-def test_divergence_raises_with_iteration_index(ring4, ring4_inst):
+def test_divergence_raises_with_iteration_index(ring4_inst):
     s = next(iterate("addopt", ring4_inst, 5.0))
     with pytest.raises(DivergenceError) as exc_info:
         for _ in range(400):
-            s = addopt_step(s, ring4, 5.0)
+            s = addopt_step(s, ring4_inst, 5.0)
     assert exc_info.value.iteration >= 1
     assert "diverged" in str(exc_info.value)
 
@@ -184,7 +183,7 @@ def test_two_step_bootstrap_definition(ring4, ring4_inst, quad4):
     # from a start state (no x_prev) the step is x1 = A x0 - alpha grad(z0)
     alpha = 0.1
     s0 = next(iterate("dextra", ring4_inst, alpha))
-    s1 = dextra_step(s0, ring4, alpha, dextra_tilde(ring4, 0.5))
+    s1 = dextra_step(s0, ring4_inst, alpha, dextra_tilde(ring4, 0.5))
     x0 = np.zeros((4, 2))
     g0 = np.array([o.gradient(z) for o, z in zip(quad4, x0)])
     np.testing.assert_allclose(
@@ -199,9 +198,9 @@ def test_two_step_coincides_with_tracked_engine_on_identity_mixing(ring4_inst):
     # with identity mixing both engines reduce to the same decentralized
     # gradient recursion, step for step; the start states do not depend on
     # the mixing, so ring4's serve
-    eye = WeightMatrix(np.eye(4))
+    eye = dataclasses.replace(ring4_inst, weights=WeightMatrix(np.eye(4)))
     alpha, theta = 0.1, 0.37
-    tilde = dextra_tilde(eye, theta)
+    tilde = dextra_tilde(eye.weights, theta)
     s_two = dextra_step(next(iterate("dextra", ring4_inst, alpha)), eye, alpha, tilde)
     s_tracked = addopt_step(next(iterate("addopt", ring4_inst, alpha)), eye, alpha)
     for _ in range(40):
@@ -241,13 +240,13 @@ def test_two_step_fails_below_its_stability_window(canonical_inst):
 # ---------------------------------------------------------------------------
 
 
-def test_baseline_zero_steps_is_pure_consensus(fig1_graph, fig1_weights):
+def test_baseline_zero_steps_is_pure_consensus(fig1_graph):
     inst = prepare(fig1_graph, quadratic_set(10, 2, seed=8))
     rng = np.random.default_rng(9)
     z0 = rng.standard_normal((10, 2))
     s = next(iterate("gp", inst, 0.0, z0=z0))
     for _ in range(500):
-        s = gradient_push_step(s, fig1_weights, 0.0)
+        s = gradient_push_step(s, inst, 0.0)
     np.testing.assert_allclose(s.z, np.tile(z0.mean(axis=0), (10, 1)), atol=1e-10)
 
 
@@ -428,13 +427,13 @@ def test_engines_and_reference_solve_never_call_per_agent_gradients(
             assert trace.residual.tobytes() == before.residual.tobytes()
 
 
-def test_swarm_holds_the_stacked_problem(ring4_inst, quad4):
+def test_instance_holds_the_stacked_problem(ring4_inst, quad4):
     problem = ring4_inst.problem
     assert isinstance(problem, objectives.StackedQuadratic)
     assert problem.agents == quad4
-    for alg in ENGINES:
-        for swarm in islice(iterate(alg, ring4_inst, 0.05), 3):
-            assert swarm.objectives is problem
+    # the steps read the problem from the instance; a state holds only iterates
+    fields = {f.name for f in dataclasses.fields(algorithms.AgentSwarm)}
+    assert fields == {"x", "y", "z", "w", "grad", "k", "x_prev", "grad_prev"}
 
 
 def array_bytes(obj) -> dict:
@@ -454,10 +453,11 @@ def array_bytes(obj) -> dict:
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("family", ["logistic", "logistic_unequal", "quadratic"])
 def test_a_step_never_writes_into_its_input_state(
-    fig1_graph, fig1_weights, canonical_objs, engine, family
+    fig1_graph, canonical_objs, engine, family
 ):
     # the recorder keeps a state's arrays until it reduces its block, so a
-    # step that wrote into them would corrupt the trace without a sound
+    # step that wrote into them would corrupt the trace without a sound; the
+    # instance (weights and stacked problem) is shared by every lane
     if family == "logistic":
         objs = canonical_objs
     elif family == "logistic_unequal":
@@ -469,20 +469,21 @@ def test_a_step_never_writes_into_its_input_state(
         assert len(objectives.stack(objs).groups) > 1
     else:
         objs = quadratic_set(10, 3, seed=5)
-    tilde = dextra_tilde(fig1_weights, 0.5)
+    inst = prepare(fig1_graph, objs)
+    tilde = dextra_tilde(inst.weights, 0.5)
     step, extra = {
         "addopt": (addopt_step, ()),
         "dextra": (dextra_step, (tilde,)),
         "gradient_push": (gradient_push_step, ()),
     }[engine]
     z0 = np.random.default_rng(3).standard_normal((10, 3))
-    s = next(iterate(engine, prepare(fig1_graph, objs), 0.05, z0=z0))
+    s = next(iterate(engine, inst, 0.05, z0=z0))
     # dextra's first step is its bootstrap, the next ones the two-step update
     for k in range(1, 4):
-        before = array_bytes(s), array_bytes(fig1_weights), array_bytes(tilde)
-        nxt = step(s, fig1_weights, 0.05, *extra)
+        before = array_bytes(s), array_bytes(inst), array_bytes(tilde)
+        nxt = step(s, inst, 0.05, *extra)
         assert nxt.k == k
-        assert (array_bytes(s), array_bytes(fig1_weights), array_bytes(tilde)) == before
+        assert (array_bytes(s), array_bytes(inst), array_bytes(tilde)) == before
         s = nxt
 
 

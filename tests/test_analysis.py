@@ -227,8 +227,8 @@ def test_vanishing_correction_matrix_pattern():
 
 def test_error_vector_closed_form_two_agents():
     objs = (
-        objectives.quadratic_objective([2.0], [1.0]),
-        objectives.quadratic_objective([-1.0], [3.0]),
+        objectives.Quadratic([2.0], [1.0]),
+        objectives.Quadratic([-1.0], [3.0]),
     )
     inst = experiments.prepare(digraph.complete_digraph(2), objs)
     l, s = objectives.network_constants(objs)
@@ -257,7 +257,6 @@ def test_error_vector_zero_at_consensus_optimum(fig1_profile, canonical_inst,
     )
     gbar = grad.mean(axis=0)
     swarm = algorithms.AgentSwarm(
-        objectives=canonical_inst.problem,
         x=np.outer(y_inf, z_star),
         y=y_inf.copy(),
         z=np.tile(z_star, (10, 1)),

@@ -147,6 +147,13 @@ def test_header_only_dataset_file_is_a_usage_error(capsys, tmp_path, monkeypatch
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_data_solve_without_a_dataset_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "data", "solve")
+    assert (code, out) == (2, "")
+    assert err == "error: data solve needs --data FILE\n"
+    assert "Traceback" not in err
+
+
 def test_data_solve_malformed_csv(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("who,what\n1,2\n")
@@ -519,6 +526,28 @@ dir = {tmp_path}
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("reg", ["nan", "inf"])
+def test_study_config_rejects_a_non_finite_ridge_weight(capsys, tmp_path, reg):
+    cfg = write_config(tmp_path, "reg.ini", f"""
+[objective]
+reg = {reg}
+
+[run]
+algorithms = addopt
+alpha = 0.04
+iters = 20
+
+[output]
+dir = {tmp_path / "out"}
+""")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "compare", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err == f"error: reg must be positive and finite, got {reg}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_is_usage_error(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "compare", "--config", str(tmp_path / "aint.ini")
@@ -603,6 +632,20 @@ def test_run_rejects_negative_or_non_finite_step(capsys, tmp_path, alpha):
     )
     assert code == 2 and out == ""
     assert err == f"error: step size '{alpha}' must be finite and non-negative\n"
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("reg", ["nan", "inf"])
+def test_run_rejects_a_non_finite_ridge_weight(capsys, tmp_path, reg):
+    out_csv = tmp_path / "trace.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "run", "--alg", "addopt", "--graph", "fig1",
+            "--alpha", "0.05", "--reg", reg, "--iters", "20", "--out", str(out_csv),
+        )
+    assert (code, out) == (2, "")
+    assert err == f"error: reg must be positive and finite, got {reg}\n"
     assert not out_csv.exists()
 
 

@@ -10,6 +10,8 @@ import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from dirgraphopt import objectives
+from dirgraphopt.digraph import ring_digraph
+from dirgraphopt.experiments import prepare
 from dirgraphopt.objectives import (
     Logistic,
     LogisticData,
@@ -19,7 +21,6 @@ from dirgraphopt.objectives import (
     load_dataset_csv,
     logistic_objective,
     network_constants,
-    quadratic_objective,
     save_dataset_csv,
     stack,
     stacked_gradient,
@@ -49,7 +50,7 @@ def central_fd(obj, z, h=1e-6):
 
 
 def test_quadratic_value_and_gradient_closed_form():
-    q = quadratic_objective([1.0, -2.0], [2.0, 3.0])
+    q = Quadratic([1.0, -2.0], [2.0, 3.0])
     z = np.array([0.0, 0.0])
     assert q.value(z) == pytest.approx(0.5 * (2 * 1 + 3 * 4))
     np.testing.assert_allclose(q.gradient(z), [-2.0, 6.0])
@@ -58,7 +59,7 @@ def test_quadratic_value_and_gradient_closed_form():
 
 
 def test_quadratic_curvature_bounds():
-    q = quadratic_objective([0.0, 0.0, 0.0], [0.5, 2.0, 4.0])
+    q = Quadratic([0.0, 0.0, 0.0], [0.5, 2.0, 4.0])
     assert q.lipschitz == 4.0
     assert q.strong_convexity == 0.5
     assert q.dim == 3
@@ -66,17 +67,17 @@ def test_quadratic_curvature_bounds():
 
 def test_quadratic_rejects_bad_curvature():
     with pytest.raises(ValueError, match="positive"):
-        quadratic_objective([0.0], [0.0])
+        Quadratic([0.0], [0.0])
     with pytest.raises(ValueError, match="positive"):
-        quadratic_objective([0.0], [-1.0])
+        Quadratic([0.0], [-1.0])
     with pytest.raises(ValueError, match="equal-length"):
-        quadratic_objective([0.0, 1.0], [1.0])
+        Quadratic([0.0, 1.0], [1.0])
 
 
 def test_unit_curvature_optimum_is_mean_of_centers():
     rng = np.random.default_rng(1)
     centers = rng.standard_normal((6, 3))
-    objs = tuple(quadratic_objective(c, np.ones(3)) for c in centers)
+    objs = tuple(Quadratic(c, np.ones(3)) for c in centers)
     opt = centralized_solve(objs)
     assert opt.converged
     np.testing.assert_allclose(opt.z_star, centers.mean(axis=0), atol=1e-10)
@@ -86,7 +87,7 @@ def test_weighted_quadratic_optimum_closed_form():
     # sum of 0.5 q_i (z - b_i)^2 is minimized at sum(q b) / sum(q) per axis
     centers = np.array([[1.0], [3.0], [-2.0]])
     curvs = np.array([[1.0], [2.0], [4.0]])
-    objs = tuple(quadratic_objective(b, q) for b, q in zip(centers, curvs))
+    objs = tuple(Quadratic(b, q) for b, q in zip(centers, curvs))
     opt = centralized_solve(objs)
     expected = (curvs * centers).sum() / curvs.sum()
     np.testing.assert_allclose(opt.z_star, [expected], atol=1e-10)
@@ -135,6 +136,14 @@ def test_logistic_validation():
         Logistic(np.ones((1, 1)), np.array([1.0]), reg=0.0, share=1)
 
 
+@pytest.mark.parametrize("reg", [0.0, -1.0, math.nan, math.inf])
+def test_a_ridge_weight_that_is_not_positive_and_finite_is_rejected(reg):
+    with pytest.raises(ValueError, match="reg"):
+        Logistic(np.ones((1, 1)), np.array([1.0]), reg=reg, share=1)
+    with pytest.raises(ValueError, match="reg"):
+        LogisticData((np.ones((1, 1)),), (np.array([1.0]),), reg=reg)
+
+
 def test_logistic_certified_curvature_formulas():
     data = generate_dataset(5, 7, 3, seed=2, reg=1.5)
     objs = logistic_objective(data)
@@ -160,7 +169,7 @@ def test_strong_convexity_inequality_holds(seed):
     rng = np.random.default_rng(seed)
     data = generate_dataset(3, 4, 3, seed=seed, reg=1.0)
     for o in (logistic_objective(data)[1],
-              quadratic_objective(rng.standard_normal(3), [1.0, 2.0, 0.5])):
+              Quadratic(rng.standard_normal(3), [1.0, 2.0, 0.5])):
         z1, z2 = rng.standard_normal(3), rng.standard_normal(3)
         s = o.strong_convexity
         lower = (
@@ -176,7 +185,7 @@ def test_strong_convexity_inequality_holds(seed):
 def test_gradients_match_finite_differences(seed, z_list):
     z = np.array(z_list)
     rng = np.random.default_rng(seed)
-    quad = quadratic_objective(
+    quad = Quadratic(
         rng.standard_normal(z.size), rng.uniform(0.5, 3.0, z.size)
     )
     data = generate_dataset(2, 3, z.size, seed=seed, reg=1.0)
@@ -293,9 +302,9 @@ def test_dataset_rejects_bad_labels():
 
 def test_network_constants_are_extremes():
     objs = (
-        quadratic_objective([0.0], [2.0]),
-        quadratic_objective([0.0], [5.0]),
-        quadratic_objective([0.0], [0.5]),
+        Quadratic([0.0], [2.0]),
+        Quadratic([0.0], [5.0]),
+        Quadratic([0.0], [0.5]),
     )
     assert network_constants(objs) == (5.0, 0.5)
 
@@ -303,7 +312,7 @@ def test_network_constants_are_extremes():
 def test_stacked_and_total_gradient_consistency():
     rng = np.random.default_rng(3)
     objs = tuple(
-        quadratic_objective(rng.standard_normal(2), rng.uniform(0.5, 2.0, 2))
+        Quadratic(rng.standard_normal(2), rng.uniform(0.5, 2.0, 2))
         for _ in range(4)
     )
     z = rng.standard_normal(2)
@@ -313,7 +322,7 @@ def test_stacked_and_total_gradient_consistency():
 
 
 def test_solver_single_quadratic():
-    opt = centralized_solve((quadratic_objective([0.0, 0.0], [1.0, 1.0]),))
+    opt = centralized_solve((Quadratic([0.0, 0.0], [1.0, 1.0]),))
     np.testing.assert_allclose(opt.z_star, 0.0, atol=1e-12)
     assert opt.converged and opt.f_star == pytest.approx(0.0)
 
@@ -366,13 +375,74 @@ def test_solver_matches_scipy_at_n200(seed):
     assert np.linalg.norm(opt.z_star - root.x) <= tol
 
 
+def backtracking_objs():
+    """Three agents, all labels +1 and a ridge of 1e-7: the Newton solve
+    halves its step 3 times on the way to z* and converges in 14 steps."""
+    features = (
+        np.array([[-0.33, -0.01]]),
+        np.array([[122.54, 30.63], [-41.94, -172.02]]),
+        np.array([[-2.0, -1.27], [4.34, -2.3]]),
+    )
+    return logistic_objective(
+        LogisticData(features, tuple(np.ones(len(f)) for f in features), reg=1e-7)
+    )
+
+
+def test_solver_backtracks_and_still_finds_the_minimizer(monkeypatch):
+    objs = backtracking_objs()
+    calls = []
+
+    def counting(problem, z):
+        calls.append(z)
+        return total_value(problem, z)
+
+    monkeypatch.setattr(objectives, "total_value", counting)
+    opt = centralized_solve(objs)
+    assert opt.converged and opt.iterations == 14
+    # one value at z = 0, one per full step, one for f_star: the rest are halvings
+    assert len(calls) - (opt.iterations + 2) == 3
+    scale = max(1.0, np.linalg.norm(opt.z_star))
+    lbfgsb = scipy.optimize.minimize(
+        lambda z: total_value(objs, z), np.zeros(2),
+        jac=lambda z: total_gradient(objs, z), method="L-BFGS-B",
+        options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 10_000},
+    ).x
+    assert np.linalg.norm(opt.z_star - lbfgsb) <= 1e-6 * scale
+    root = scipy.optimize.root(lambda z: total_gradient(objs, z), lbfgsb, method="hybr")
+    assert root.success
+    assert np.linalg.norm(opt.z_star - root.x) <= 1e-9 * scale
+
+
+def test_solver_reports_its_best_iterate_when_the_step_budget_runs_out(monkeypatch):
+    objs = backtracking_objs()
+    seen = []
+
+    def recording(problem, z):
+        grad = total_gradient(problem, z)
+        seen.append((float(np.linalg.norm(grad)), z))
+        return grad
+
+    monkeypatch.setattr(objectives, "_MAX_NEWTON_STEPS", 1)
+    monkeypatch.setattr(objectives, "total_gradient", recording)
+    opt = centralized_solve(objs)
+    assert not opt.converged and opt.iterations == 1
+    # the two iterates seen are z = 0 and the first Newton point
+    assert len(seen) == 2
+    best_res, best_z = min(seen, key=lambda item: item[0])
+    assert opt.residual_norm == best_res
+    np.testing.assert_array_equal(opt.z_star, best_z)
+    assert opt.f_star == total_value(objs, best_z)
+    with pytest.raises(objectives.UnconvergedSolveError, match="did not converge"):
+        prepare(ring_digraph(3), objs)
+
+
 def test_gradient_step_contracts_below_curvature_ratio():
     # a full gradient step on the summed objective contracts distance to the
     # optimum by max(|1 - a n l|, |1 - a n s|) when the certified curvature
     # bounds hold for the total objective
     rng = np.random.default_rng(7)
     objs = tuple(
-        quadratic_objective(rng.standard_normal(3), rng.uniform(0.5, 2.0, 3))
+        Quadratic(rng.standard_normal(3), rng.uniform(0.5, 2.0, 3))
         for _ in range(5)
     )
     n = len(objs)
@@ -478,7 +548,7 @@ def test_stacked_logistic_gradient_keeps_the_per_agent_signed_zero(counts):
 def test_stacked_quadratic_gradient_is_bit_equal(p):
     rng = np.random.default_rng(p)
     objs = tuple(
-        quadratic_objective(rng.standard_normal(p), rng.uniform(0.5, 2.0, p))
+        Quadratic(rng.standard_normal(p), rng.uniform(0.5, 2.0, p))
         for _ in range(25)
     )
     assert_bit_equal_to_per_agent(objs, seed=p)
@@ -489,7 +559,7 @@ def random_problem(family, n, p, seed):
     rng = np.random.default_rng(seed)
     if family == "quadratic":
         return tuple(
-            quadratic_objective(rng.standard_normal(p), rng.uniform(0.1, 3.0, p))
+            Quadratic(rng.standard_normal(p), rng.uniform(0.1, 3.0, p))
             for _ in range(n)
         )
     counts = tuple(int(m) for m in rng.integers(1, 6, size=n))
@@ -537,7 +607,7 @@ def test_stacked_hessian_matches_finite_differences(family):
 
 
 def test_total_gradient_keeps_the_running_sums_positive_zero():
-    objs = tuple(quadratic_objective([0.0], [q]) for q in (1.0, 2.0, 3.0))
+    objs = tuple(Quadratic([0.0], [q]) for q in (1.0, 2.0, 3.0))
     z = np.array([-0.0])
     assert per_agent_rows(objs, [z] * 3).tobytes() == np.full((3, 1), -0.0).tobytes()
     assert total_gradient(objs, z).tobytes() == sequential_sum(objs, z).tobytes()
@@ -551,15 +621,15 @@ def test_stack_returns_a_stacked_problem_unchanged(canonical_objs):
 
 
 def test_stack_rejects_mixed_families_naming_the_agent(canonical_objs):
-    quad = quadratic_objective([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+    quad = Quadratic([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     mixed = canonical_objs[:3] + (quad,) + canonical_objs[3:]
     with pytest.raises(ValueError, match="agent 3 is Quadratic but agent 0 is Logistic"):
         stack(mixed)
 
-    class Other(objectives.Objective):
+    class Other:
         dim = 3
 
     with pytest.raises(ValueError, match="agent 1: cannot stack Other"):
         stack((quad, Other()))
     with pytest.raises(ValueError, match="agent 1 has dimension 2 but agent 0 has 3"):
-        stack((quad, quadratic_objective([0.0, 0.0], [1.0, 1.0])))
+        stack((quad, Quadratic([0.0, 0.0], [1.0, 1.0])))
