@@ -74,16 +74,15 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Instance:
-    """The problem every lane of a command runs on: the mixing ``weights``,
-    their stationary vector ``pi``, the stacked ``problem`` and its ``optimum``,
-    as :func:`~dirgraphopt.experiments.prepare` builds them together.  Every
-    engine step reads ``weights`` and ``problem`` from it; the states that
-    :func:`iterate` yields hold only iterates."""
+    """The problem every lane of a command runs on: the mixing ``weights``
+    (with their stationary vector ``weights.pi``), the stacked ``problem``
+    and its ``optimum``, as :func:`~dirgraphopt.experiments.prepare` builds
+    them together.  Every engine step reads ``weights`` and ``problem`` from
+    it; the states that :func:`iterate` yields hold only iterates."""
 
     weights: WeightMatrix
     problem: StackedProblem
     optimum: Optimum
-    pi: np.ndarray
 
 
 @dataclass(slots=True)
@@ -406,14 +405,14 @@ def run(
     until the residual reaches ``stop_tol``).
 
     Residuals and the gap are measured against ``inst.optimum.z_star``, the
-    consensus and tracking errors against the ray of ``inst.pi``.
+    consensus and tracking errors against the ray of ``inst.weights.pi``.
     Deterministic: same inputs, same trace.  ``max_iters = 0`` records the
     start state only; a negative count raises ``ValueError``.
     """
     engine, _, alpha_label = _step_rule(algorithm, alpha)
     if max_iters < 0:
         raise ValueError(f"iteration count must be non-negative, got {max_iters}")
-    z_star, pi = inst.optimum.z_star, inst.pi
+    z_star, pi = inst.optimum.z_star, inst.weights.pi
 
     states = iterate(engine, inst, alpha, z0=z0, theta=theta)
     s = next(states)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import AgentSwarm, Trace
-from .digraph import SpectralData, WeightMatrix, perron_limit, spectral_data
+from .digraph import SpectralData, WeightMatrix, spectral_data
 
 __all__ = [
     "ConvergenceProfile",
@@ -89,9 +89,9 @@ def push_sum_extremes(weights: WeightMatrix) -> tuple[float, float]:
 
     Iterates ``y <- A y`` from the all-ones vector, keeping running maxima of
     ``max_i y_i`` and ``1 / min_i y_i`` until y is within ``_PUSH_SUM_TOL``
-    of its limit ``n pi``; the limit values are folded into the maxima.
+    of its limit ``n weights.pi``; the limit values are folded into the maxima.
     """
-    limit = weights.n * perron_limit(weights)
+    limit = weights.n * weights.pi
     y = np.ones(weights.n)
     hi = 1.0
     lo_inv = 1.0

@@ -10,6 +10,7 @@ consensus-deviation map is a strict contraction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -146,6 +147,13 @@ class WeightMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    @functools.cached_property
+    def pi(self) -> np.ndarray:
+        """Stationary vector by :func:`perron_limit`: solved once, read-only."""
+        pi = perron_limit(self)
+        pi.flags.writeable = False
+        return pi
+
 
 def uniform_weights(g: Digraph) -> WeightMatrix:
     """Equal-split column-stochastic weights: each sender divides by out-degree.
@@ -209,8 +217,8 @@ class SpectralData:
 
 
 def spectral_data(w: WeightMatrix, slack: float | None = None) -> SpectralData:
-    """Every certified constant of ``w`` from one Perron solve and one
-    doubling series.
+    """Every certified constant of ``w`` from its stationary vector ``w.pi``
+    and one doubling series.
 
     ``tau = |A - I|_2`` and ``eps = |I - A_inf|_2``.  ``I - pi 1^T`` is a
     projector, so for n >= 2 its norm is that of its complement, the
@@ -251,7 +259,7 @@ def spectral_data(w: WeightMatrix, slack: float | None = None) -> SpectralData:
         raise ValueError(f"slack must be positive, got {slack}")
     a = w.entries
     n = w.n
-    pi = perron_limit(w)
+    pi = w.pi
     tau = float(np.linalg.norm(a - np.eye(n), 2))
     eps = math.sqrt(n * pi.dot(pi)) if n > 1 else 0.0
     m = a - pi[:, None]

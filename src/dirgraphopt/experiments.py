@@ -317,7 +317,7 @@ def _summarize(trace: algorithms.Trace, diverged: bool = False) -> TraceSummary:
 
 def prepare(graph: digraph.Digraph, objs) -> algorithms.Instance:
     """The :class:`~dirgraphopt.algorithms.Instance` of ``graph`` and ``objs``,
-    stacked once here.
+    stacked once here; its weights solve ``weights.pi`` on first read.
 
     Raises ``ValueError`` naming both counts when ``objs`` does not hold one
     objective per node of ``graph``, before any solve, and
@@ -330,7 +330,7 @@ def prepare(graph: digraph.Digraph, objs) -> algorithms.Instance:
             f"the objectives cover {problem.n} agents but the graph has {graph.n} nodes"
         )
     optimum = objectives.reference_optimum(problem)
-    return algorithms.Instance(weights, problem, optimum, digraph.perron_limit(weights))
+    return algorithms.Instance(weights, problem, optimum)
 
 
 def _run_lanes(

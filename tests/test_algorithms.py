@@ -557,7 +557,7 @@ def test_block_recorder_matches_per_step_recorder_at_block_edges(
     alpha = BLOCK_ALPHAS[algorithm]
     block = algorithms._block_steps(n, p)
     states = list(islice(iterate(algorithm, inst, alpha), 2 * block + 2))
-    expected = per_step_columns(states, inst.optimum.z_star, inst.pi)
+    expected = per_step_columns(states, inst.optimum.z_star, inst.weights.pi)
     for iters in (0, block - 1, block, block + 1, 2 * block + 1):
         trace = run(algorithm, inst, alpha, iters)
         assert_same_bytes(trace, expected, iters + 1)
@@ -580,7 +580,7 @@ def test_block_recorder_divergence_keeps_the_finite_records(
     alpha = BLOCK_ALPHAS[algorithm]
     block = algorithms._block_steps(10, 3)
     states = list(islice(iterate(algorithm, inst, alpha), 2 * block + 2))
-    expected = per_step_columns(states, inst.optimum.z_star, inst.pi)
+    expected = per_step_columns(states, inst.optimum.z_star, inst.weights.pi)
     # the first block holds k = 0 .. block-1, so step k = block is the first
     # one after a flush
     at = block if where == "after_flush" else block + block // 2

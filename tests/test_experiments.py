@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dirgraphopt import digraph, objectives
+from dirgraphopt import algorithms, analysis, cli, digraph, objectives
 from dirgraphopt.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -404,6 +405,38 @@ def test_each_study_stacks_its_problem_once(tmp_path, monkeypatch):
         tmp_path, algorithms=("addopt", "dextra", "gp"), objective="logistic", iters=50
     ))
     assert stacks == [10]
+
+
+def test_each_command_solves_pi_once_per_weight_matrix(tmp_path, monkeypatch, capsys):
+    # the weights own their stationary vector: the recorder, the certificate
+    # and the push-sum extremes all read ``weights.pi``, solved on first read
+    solves = []
+    perron_limit = digraph.perron_limit
+
+    def counting(w):
+        solves.append(w.n)
+        return perron_limit(w)
+
+    monkeypatch.setattr(digraph, "perron_limit", counting)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    sweep = dataclasses.replace(load_config(configs / "stepsize_fig1.ini"), out_dir=tmp_path)
+    cmd_stepsize_study(sweep)
+    assert solves == [10]
+    solves.clear()
+    assert cli.main(["analyze", "--graph", "fig1", "--l", "1.43", "--s", "0.1"]) == 0
+    assert solves == [10]
+    solves.clear()
+    cmd_compare(make_config(tmp_path, algorithms=("addopt", "dextra", "gp"), iters=20))
+    assert solves == [10]
+    solves.clear()
+    inst = prepare(digraph.builtin_graph("fig1"), build_objectives(sweep, 10))
+    assert solves == []
+    assert [f.name for f in dataclasses.fields(algorithms.Instance)] == [
+        "weights", "problem", "optimum"
+    ]
+    assert "perron_limit" not in inspect.getsource(analysis)
+    assert not inst.weights.pi.flags.writeable
+    assert solves == [10]
 
 
 # ---------------------------------------------------------------------------
