@@ -114,10 +114,6 @@ class AgentSwarm:
     def n(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.x.shape[1]
-
 
 def _check_finite(x: np.ndarray, k: int) -> None:
     # ``max`` propagates NaN, so NaN fails the comparison like an overflow
@@ -407,11 +403,14 @@ def run(
     Residuals and the gap are measured against ``inst.optimum.z_star``, the
     consensus and tracking errors against the ray of ``inst.weights.pi``.
     Deterministic: same inputs, same trace.  ``max_iters = 0`` records the
-    start state only; a negative count raises ``ValueError``.
+    start state only; a negative count, or a ``stop_tol`` that is negative
+    or not finite, raises ``ValueError``.
     """
     engine, _, alpha_label = _step_rule(algorithm, alpha)
     if max_iters < 0:
         raise ValueError(f"iteration count must be non-negative, got {max_iters}")
+    if not 0.0 <= stop_tol < math.inf:
+        raise ValueError(f"stop_tol must be finite and non-negative, got {stop_tol}")
     z_star, pi = inst.optimum.z_star, inst.weights.pi
 
     states = iterate(engine, inst, alpha, z0=z0, theta=theta)

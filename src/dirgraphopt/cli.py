@@ -109,12 +109,7 @@ def _cmd_analyze(args) -> int:
     alpha = experiments.parse_alpha(args.alpha) if args.alpha is not None else None
     if alpha is not None and not isinstance(alpha, float):
         raise experiments.ConfigError(f"--alpha needs a constant step, got {args.alpha!r}")
-    g = _load_graph_arg(args.graph)
-    if args.n is not None and args.n != g.n:
-        raise experiments.ConfigError(
-            f"--n {args.n} does not match the graph's {g.n} nodes"
-        )
-    w = digraph.uniform_weights(g)
+    w = digraph.uniform_weights(_load_graph_arg(args.graph))
     profile = analysis.build_profile(w, args.l, args.s, args.slack)
     bound = analysis.alpha_upper_bound(profile)
     print(f"# alpha_bar = {bound!r}")
@@ -206,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--graph", required=True)
     p_an.add_argument("--l", type=float, required=True)
     p_an.add_argument("--s", type=float, required=True)
-    p_an.add_argument("--n", type=int, default=None)
     p_an.add_argument("--alpha", default=None, help="constant step size")
     p_an.add_argument("--sweep", help="lo:hi:steps")
     p_an.add_argument("--slack", type=float, default=None)

@@ -264,14 +264,14 @@ def spectral_data(w: WeightMatrix, slack: float | None = None) -> SpectralData:
     eps = math.sqrt(n * pi.dot(pi)) if n > 1 else 0.0
     m = a - pi[:, None]
     rho = float(np.max(np.abs(np.linalg.eigvals(m)))) if n > 1 else 0.0
-    if rho >= 1.0:
-        raise ValueError(
-            f"consensus-deviation spectral radius {rho:.6f} is not below 1"
-        )
     # Keep the certified norm strictly inside the unit ball even when the
     # requested slack would overshoot it.
     gap = 0.5 * (1.0 - rho) if slack is None else min(slack, 0.5 * (1.0 - rho))
     r = rho + gap
+    if not r < 1.0:
+        raise ValueError(
+            f"consensus-deviation spectral radius {rho:.6f} is not below 1"
+        )
     sigma = float(np.linalg.norm(m, 2))
     if sigma <= r:
         s_mat, s_inv, d = np.eye(n), np.eye(n), 1.0

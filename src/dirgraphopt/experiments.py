@@ -78,6 +78,10 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm list has duplicates: {self.algorithms}")
         if self.iters < 0:
             raise ConfigError(f"iters must be non-negative, got {self.iters}")
+        if not 0.0 <= self.stop_tol < math.inf:
+            raise ConfigError(
+                f"run.stop_tol must be finite and non-negative, got {self.stop_tol}"
+            )
         object.__setattr__(self, "algorithms", names)
 
     @property

@@ -56,8 +56,8 @@ class Quadratic:
         q = np.asarray(self.curvature, dtype=float)
         if b.ndim != 1 or q.shape != b.shape:
             raise ValueError("center and curvature must be equal-length vectors")
-        if np.any(q <= 0):
-            raise ValueError("curvature must be strictly positive")
+        if not (np.all(q > 0) and np.isfinite(q).all() and np.isfinite(b).all()):
+            raise ValueError("curvature must be positive and finite, and the center finite")
         object.__setattr__(self, "center", b)
         object.__setattr__(self, "curvature", q)
 

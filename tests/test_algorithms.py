@@ -82,7 +82,7 @@ def test_custom_start_state(ring4_inst, quad4):
 def test_baseline_init_has_no_tracker(ring4_inst):
     s = next(iterate("gp", ring4_inst, "1/sqrt(k)"))
     assert s.w is None and s.grad is None
-    assert s.n == 4 and s.p == 2
+    assert s.n == 4 and s.x.shape == (4, 2)
 
 
 # ---------------------------------------------------------------------------

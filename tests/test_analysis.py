@@ -440,6 +440,11 @@ def test_fit_log_linear_needs_two_points():
         fit_log_linear(np.array([1.0]), np.array([0.5]))
 
 
+def test_verify_key_relation_needs_spectral_data():
+    with pytest.raises(ValueError, match="without spectral data"):
+        verify_key_relation([], abstract_profile(), np.zeros(3), 0.01)
+
+
 def test_residual_slope_window_excludes_floor_and_overshoot():
     ks = np.arange(60)
     residual = 0.8 ** ks.astype(float)

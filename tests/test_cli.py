@@ -375,14 +375,6 @@ def test_analyze_default_grid_spans_certified_range(capsys):
     assert rows[-1][1] <= 1.0 + 1e-9
 
 
-def test_analyze_node_count_mismatch(capsys):
-    code, _, err = run_cli(
-        capsys, "analyze", "--graph", "fig1", "--l", "1.0", "--s", "1.0",
-        "--n", "12",
-    )
-    assert code == 2 and "does not match" in err
-
-
 def test_analyze_one_node_graph_applies_the_cap(capsys, tmp_path):
     path = tmp_path / "one.txt"
     path.write_text("1\n")
@@ -841,3 +833,77 @@ dir = {tmp_path / "out"}
     assert (code, out) == (2, "")
     assert err == f"error: {message.format(cfg=cfg)}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stop_tol", ["nan", "-1", "inf"])
+def test_run_rejects_a_stop_tolerance_outside_zero_to_infinity(capsys, tmp_path, stop_tol):
+    out_csv = tmp_path / "t.csv"
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "addopt", "--graph", "fig1", "--alpha", "0.05",
+        "--iters", "5", "--stop-tol", stop_tol, "--out", str(out_csv),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: stop_tol must be finite and non-negative, got {float(stop_tol)}\n"
+    assert not out_csv.exists()
+
+
+def test_study_config_rejects_a_non_finite_stop_tolerance(capsys, tmp_path):
+    cfg = write_config(tmp_path, "tol.ini", f"""
+[run]
+alpha = 0.1
+stop_tol = nan
+
+[output]
+dir = {tmp_path / "out"}
+""")
+    code, out, err = run_cli(capsys, "compare", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err == "error: run.stop_tol must be finite and non-negative, got nan\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_step_size_sweep(capsys):
+    code, out, err = run_cli(
+        capsys, "run", "--alg", "addopt", "--graph", "fig1", "--alpha", "0.1:1:3"
+    )
+    assert (code, out, err) == (2, "", "error: run needs a single step size, not a sweep\n")
+
+
+def test_analyze_rejects_a_sweep_that_is_a_constant(capsys):
+    code, out, err = run_cli(
+        capsys, "analyze", "--graph", "fig1", "--l", "1", "--s", "1", "--sweep", "0.1"
+    )
+    assert (code, out, err) == (2, "", "error: --sweep needs lo:hi:steps, got '0.1'\n")
+
+
+def test_sweep_where_no_grid_point_converges_says_so(capsys, tmp_path):
+    cfg = write_config(tmp_path, "big.ini", f"""
+[graph]
+source = fig1
+
+[run]
+alpha = 40:50:2
+iters = 30
+
+[output]
+dir = {tmp_path / "out"}
+""")
+    code, out, err = run_cli(capsys, "sweep", "--config", cfg)
+    assert (code, err) == (0, "")
+    assert "argmin residual: no grid point converged\n" in out
+    assert out.endswith("rows = 2\n")
+
+
+def test_config_with_an_unknown_objective_kind_is_a_usage_error(capsys, tmp_path):
+    cfg = write_config(tmp_path, "kind.ini", "[objective]\nkind = foo\n")
+    code, out, err = run_cli(capsys, "compare", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err == "error: objective kind must be logistic or quadratic, got 'foo'\n"
+
+
+def test_config_with_a_repeated_key_names_the_file(capsys, tmp_path):
+    cfg = write_config(tmp_path, "twice.ini", "[run]\nalpha = 0.1\nalpha = 0.2\n")
+    code, out, err = run_cli(capsys, "compare", "--config", cfg)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
+    assert "option 'alpha' in section 'run' already exists" in err

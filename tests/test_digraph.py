@@ -652,3 +652,34 @@ def test_generators_reject_negative_extra_counts():
 def test_nested_chain_rejects_overfull_counts():
     with pytest.raises(ValueError, match="at most"):
         nested_chain(4, (0, 9), seed=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spectral_data_rejects_a_periodic_cycle(n):
+    # a cycle without self-loops mixes by a permutation: M = A - A_inf has
+    # spectral radius 1, which at n = 2 rounds to just below 1
+    perm = np.roll(np.eye(n), 1, axis=0)
+    with pytest.raises(ValueError, match="is not below 1"):
+        spectral_data(WeightMatrix(perm))
+
+
+def test_weights_solve_pi_once_and_keep_it_read_only(monkeypatch):
+    solves = []
+
+    def counting(w):
+        solves.append(w.n)
+        return perron_limit(w)
+
+    monkeypatch.setattr(digraph, "perron_limit", counting)
+    w = uniform_weights(builtin_graph("fig1"))
+    assert w.pi is w.pi is spectral_data(w).pi
+    assert solves == [10]
+    assert np.array_equal(w.pi, perron_limit(w)) and not w.pi.flags.writeable
+
+
+def test_graph_constructors_reject_what_they_cannot_build():
+    with pytest.raises(ValueError, match="sender, receiver"):
+        Digraph(3, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        random_digraph(1, 0, 0)
+    assert ring_digraph(1) == Digraph(1) and ring_digraph(1).edges == ()

@@ -607,3 +607,10 @@ def test_sparsity_study_runs_addopt_only(tmp_path, algs):
     with pytest.raises(ConfigError, match="the sparsity study runs addopt only"):
         cmd_sparsity_study(cfg)
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_rejects_a_stop_tolerance_outside_zero_to_infinity(tmp_path):
+    for stop_tol in (float("nan"), -1.0, float("inf")):
+        with pytest.raises(ConfigError, match="run.stop_tol must be finite"):
+            make_config(tmp_path, stop_tol=stop_tol)
+

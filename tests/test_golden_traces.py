@@ -19,7 +19,10 @@ as ``diverged_at``.
 A change that moves an output on purpose regenerates the manifest with
 ``PYTHONPATH=src python tests/test_golden_traces.py``, which first prints
 the name of every case whose exit code or digests differ from the committed
-manifest (or ``no case changed``), and lists those cases.
+manifest (or ``no case changed``), and lists those cases.  It also prints
+the ``OPENBLAS_NUM_THREADS`` setting it ran at (``unset`` when the variable
+is not set) and records it in the manifest as ``openblas_threads``; the
+tests do not compare it.
 """
 
 from __future__ import annotations
@@ -349,9 +352,12 @@ if __name__ == "__main__":
         c for c in {*cases, *old} if _digests(cases.get(c)) != _digests(old.get(c))
     )
     print("\n".join(f"changed: {c}" for c in changed) or "no case changed")
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    print(f"OPENBLAS_NUM_THREADS = {threads}")
     MANIFEST.write_text(
         json.dumps(
-            {"numpy": np.__version__, "scipy": scipy.__version__, "cases": cases},
+            {"numpy": np.__version__, "scipy": scipy.__version__,
+             "openblas_threads": threads, "cases": cases},
             indent=1, sort_keys=True,
         ) + "\n",
         encoding="utf-8",

@@ -633,3 +633,21 @@ def test_stack_rejects_mixed_families_naming_the_agent(canonical_objs):
         stack((quad, Other()))
     with pytest.raises(ValueError, match="agent 1 has dimension 2 but agent 0 has 3"):
         stack((quad, Quadratic([0.0, 0.0], [1.0, 1.0])))
+
+
+@pytest.mark.parametrize("center, curvature", [
+    ([0.0], [np.nan]), ([np.nan], [1.0]), ([np.inf], [1.0]), ([0.0], [np.inf]),
+])
+def test_quadratic_rejects_non_finite_parameters(center, curvature):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Quadratic(center, curvature)
+
+
+def test_logistic_data_and_stack_reject_malformed_agents():
+    one = (np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ValueError, match="share the feature dimension"):
+        LogisticData((one[0], np.ones((2, 2))), (one[1], one[1]), reg=1.0)
+    with pytest.raises(ValueError, match=">= 1 labeled example"):
+        LogisticData((one[0], np.ones((0, 3))), (one[1], np.ones(0)), reg=1.0)
+    with pytest.raises(ValueError, match="at least one objective"):
+        stack(())
