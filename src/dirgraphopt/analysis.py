@@ -240,16 +240,17 @@ class LinearFit:
 
 
 def fit_log_linear(xs: np.ndarray, ys: np.ndarray) -> LinearFit:
-    """Least-squares line through ``(xs, log(ys))`` with its R^2."""
+    """Least-squares line through ``(xs, log(ys))`` with its R^2; fewer than
+    three points, or a flat ``log(ys)``, show no rate and raise ``ValueError``."""
     xs = np.asarray(xs, dtype=float)
     logs = np.log(np.asarray(ys, dtype=float))
-    if xs.size < 2:
-        raise ValueError("need at least two points to fit a line")
+    if xs.size < 3 or np.ptp(logs) == 0.0:
+        raise ValueError("need at least three points, not all equal, to fit a line")
     slope, intercept = np.polyfit(xs, logs, 1)
     pred = slope * xs + intercept
     ss_res = float(np.sum((logs - pred) ** 2))
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    r2 = 1.0 - ss_res / ss_tot
     return LinearFit(float(slope), float(intercept), r2, int(xs.size))
 
 

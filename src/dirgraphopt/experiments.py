@@ -466,9 +466,9 @@ def cmd_sparsity_study(cfg: ExperimentConfig) -> list[SparsityRow]:
     Each graph is run with every configured data seed at the fixed step
     size; the per-run slope comes from the standard fit window (residual in
     (1e-12, 1e-1]).  A run that diverges raises ``DivergenceError``, and one
-    with fewer than two residuals in the window raises ``ConfigError``; both
-    name the graph and the seed, and no CSV is written.  ``algorithms`` must
-    be ``addopt``.
+    with fewer than three residuals, or a flat residual, in the window raises
+    ``ConfigError``; both name the graph and the seed, and no CSV is written.
+    ``algorithms`` must be ``addopt``.
     """
     if not isinstance(cfg.alpha, float):
         raise ConfigError("sparsity study needs a constant step size")
@@ -488,8 +488,8 @@ def cmd_sparsity_study(cfg: ExperimentConfig) -> list[SparsityRow]:
                 slope = analysis.residual_slope(trace, hi=1e-1).slope
             except ValueError:
                 raise ConfigError(
-                    f"{label} seed {seed}: fewer than two residuals in the fit "
-                    f"window (1e-12, 1e-1] within {cfg.iters} iterations"
+                    f"{label} seed {seed}: fewer than three residuals, or a flat residual, "
+                    f"in the fit window (1e-12, 1e-1] within {cfg.iters} iterations"
                 ) from None
             rows.append(
                 SparsityRow(label=label, edge_count=g.edge_count, seed=seed, slope=slope)

@@ -435,9 +435,17 @@ def test_fit_log_linear_exact_geometric():
     assert fit.points == 50
 
 
-def test_fit_log_linear_needs_two_points():
-    with pytest.raises(ValueError, match="two points"):
-        fit_log_linear(np.array([1.0]), np.array([0.5]))
+@pytest.mark.parametrize("points", [1, 2])
+def test_fit_log_linear_needs_three_points(points):
+    ks = np.arange(points, dtype=float)
+    with pytest.raises(ValueError, match="three points"):
+        fit_log_linear(ks, 0.5**ks)
+
+
+def test_fit_log_linear_rejects_a_flat_window():
+    # equal points carry no rate: no line is reported, not slope 0 with R^2 = 1
+    with pytest.raises(ValueError, match="not all equal"):
+        fit_log_linear(np.arange(5.0), np.full(5, 0.3))
 
 
 def test_verify_key_relation_needs_spectral_data():

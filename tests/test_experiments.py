@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from dirgraphopt import algorithms, analysis, cli, digraph, objectives
 from dirgraphopt.experiments import (
     ConfigError,
+    _summarize,
     ExperimentConfig,
     build_objectives,
     cmd_compare,
@@ -614,3 +616,16 @@ def test_config_rejects_a_stop_tolerance_outside_zero_to_infinity(tmp_path):
         with pytest.raises(ConfigError, match="run.stop_tol must be finite"):
             make_config(tmp_path, stop_tol=stop_tol)
 
+
+@pytest.mark.parametrize("head", [[1.0, 1.0], [0.5, 0.5, 0.5]])
+def test_summary_reports_no_fit_from_too_few_or_equal_residuals(head):
+    # the residual leaves the fit window (1e-12, 1] after a flat start
+    residual = np.array(head + [2.0, 6.0])
+    trace = algorithms.Trace(
+        algorithm="gradient_push", alpha_label="1/sqrt(k)", ks=np.arange(len(residual)),
+        residual=residual, consensus_err=np.zeros(len(residual)),
+        tracking_err=np.full(len(residual), np.nan), gap=np.zeros(len(residual)),
+    )
+    summary = _summarize(trace)
+    assert math.isnan(summary.slope) and math.isnan(summary.r2)
+    assert summary.final_residual == 6.0 and not summary.diverged
