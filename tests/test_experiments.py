@@ -14,8 +14,8 @@ import pytest
 from dirgraphopt import algorithms, analysis, cli, digraph, objectives
 from dirgraphopt.experiments import (
     ConfigError,
-    _summarize,
     ExperimentConfig,
+    _summarize,
     build_objectives,
     cmd_compare,
     cmd_sparsity_study,
