@@ -254,13 +254,22 @@ def spectral_data(w: WeightMatrix, slack: float | None = None) -> SpectralData:
     ``1 / slack``, so a slack near roundoff (1e-11 on a 40-node random
     graph, 1e-12 on fig1) raises ``ValueError``, as does a slack that is not
     positive.
+
+    Besides ``w.entries`` and LAPACK's own workspace, at most four n x n
+    arrays are alive at once: ``M`` is rebuilt for the ``sigma`` check
+    rather than kept through the doubling.  Four is the floor while both
+    ``S`` and ``S^-1`` are returned, since that check holds them, the
+    product ``S^-1 M S`` and the SVD's copy of it.
     """
     if slack is not None and slack <= 0:
         raise ValueError(f"slack must be positive, got {slack}")
     a = w.entries
     n = w.n
     pi = w.pi
-    tau = float(np.linalg.norm(a - np.eye(n), 2))
+    x = a.copy()
+    x.flat[:: n + 1] -= 1.0
+    tau = float(np.linalg.norm(x, 2))
+    del x
     eps = math.sqrt(n * pi.dot(pi)) if n > 1 else 0.0
     m = a - pi[:, None]
     rho = float(np.max(np.abs(np.linalg.eigvals(m)))) if n > 1 else 0.0
@@ -277,8 +286,9 @@ def spectral_data(w: WeightMatrix, slack: float | None = None) -> SpectralData:
         s_mat, s_inv, d = np.eye(n), np.eye(n), 1.0
     else:
         p_mat, b = np.eye(n), m / r
+        del m
         for _ in range(_MAX_SQUARINGS):
-            p_mat = p_mat + b.T @ p_mat @ b
+            p_mat += (b.T @ p_mat) @ b
             b = b @ b
             if np.abs(b).max() < _DOUBLING_TOL:
                 break
@@ -287,14 +297,17 @@ def spectral_data(w: WeightMatrix, slack: float | None = None) -> SpectralData:
                 f"slack {slack} too small: the doubling series did not converge "
                 f"in {_MAX_SQUARINGS} squarings"
             )
+        del b
         vals, vecs = np.linalg.eigh(p_mat)
+        del p_mat
         if not vals[0] > 0:
             raise ValueError(
                 f"slack {slack} too small: Lyapunov solution is not positive definite"
             )
         s_mat = (vecs * np.sqrt(vals[0] / vals)) @ vecs.T
         s_inv = (vecs * np.sqrt(vals / vals[0])) @ vecs.T
-        sigma = float(np.linalg.norm(s_inv @ m @ s_mat, 2))
+        del vecs
+        sigma = float(np.linalg.norm((s_inv @ (a - pi[:, None])) @ s_mat, 2))
         if sigma > r:
             raise ValueError(
                 f"slack {slack} too small: the computed norm exceeds rho + slack "

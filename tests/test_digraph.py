@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -476,6 +477,20 @@ def test_spectral_data_certifies_a_1000_node_digraph():
     lhs = np.linalg.norm(spec.transform_inv @ (m @ v), axis=0)
     rhs = spec.sigma * np.linalg.norm(spec.transform_inv @ (v - limit_matrix(w) @ v), axis=0)
     assert np.all(lhs <= rhs * (1 + 1e-10))
+
+
+def test_spectral_data_keeps_at_most_four_square_arrays_alive():
+    # the working set was eight n x n arrays; SVD and eigh workspace is
+    # LAPACK's own and not traced
+    n = 200
+    w = uniform_weights(random_digraph(n, 4 * n, 1))
+    tracemalloc.start()
+    try:
+        spectral_data(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * n * n
 
 
 def test_spectral_data_default_targets_gap_midpoint(fig1_weights):
