@@ -19,7 +19,8 @@ as ``diverged_at``.
 A change that moves an output on purpose regenerates the manifest with
 ``PYTHONPATH=src python tests/test_golden_traces.py``, which first prints
 the name of every case whose exit code or digests differ from the committed
-manifest (or ``no case changed``), and lists those cases.  It also prints
+manifest (or ``no case changed``), each followed by what moved in it
+(:func:`describe_change`), and lists those cases.  It also prints
 the ``OPENBLAS_NUM_THREADS`` setting it ran at (``unset`` when the variable
 is not set) and records it in the manifest as ``openblas_threads``; the
 tests do not compare it.
@@ -256,6 +257,54 @@ def _digests(entry: dict | None) -> dict | None:
     return entry and {key: value for key, value in entry.items() if key != "numbers"}
 
 
+def _rel(old: float, new: float) -> float:
+    delta = abs(new - old)
+    return delta / abs(old) if old else (0.0 if delta == 0 else float("inf"))
+
+
+def _moved(old: float, new: float) -> str:
+    """``old -> new`` with the absolute and relative change."""
+    return f"{old!r} -> {new!r} (abs {abs(new - old):.3g}, rel {_rel(old, new):.3g})"
+
+
+def describe_change(old: dict | None, new: dict | None) -> list[str]:
+    """What moved between a case's recorded entry ``old`` and ``new``: the
+    exit code, which output digests moved, and per CSV its digest, rows,
+    last ``k`` and final residual, and per stdout number the value that
+    moved most."""
+    if old is None or new is None:
+        return ["  case added" if old is None else "  case removed"]
+    lines = [f"  exit: {old['exit']} -> {new['exit']}"]
+    moved = [key for key in ("stdout", "stderr") if old[key] != new[key]]
+    lines.append(f"  digests moved: {', '.join(moved) or 'none'}")
+    for path in sorted({*old["files"], *new["files"]}):
+        was, now = old["files"].get(path), new["files"].get(path)
+        if was is None or now is None:
+            lines.append(f"  {path}: {'added' if was is None else 'removed'}")
+            continue
+        parts = [
+            "digest moved" if was["sha256"] != now["sha256"] else "digest same",
+            f"rows {was['rows']} -> {now['rows']}",
+        ]
+        if "k" in was or "k" in now:
+            parts.append(f"k {was.get('k')} -> {now.get('k')}")
+        if "residual" in was and "residual" in now:
+            parts.append(f"residual {_moved(was['residual'], now['residual'])}")
+        lines.append(f"  {path}: {', '.join(parts)}")
+    for key in sorted({*old["numbers"], *new["numbers"]}):
+        was, now = old["numbers"].get(key), new["numbers"].get(key)
+        if was is None or now is None or len(was) != len(now):
+            lines.append(f"  number {key}: {was} -> {now}")
+            continue
+        i = max(range(len(was)), key=lambda j: abs(now[j] - was[j]))
+        rel = max(_rel(a, b) for a, b in zip(was, now))
+        lines.append(
+            f"  number {key}[{i}] of {len(was)}: {_moved(was[i], now[i])}; "
+            f"largest rel {rel:.3g}"
+        )
+    return lines
+
+
 def _builds() -> tuple[dict, bool]:
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
     same = (manifest["numpy"], manifest["scipy"]) == (np.__version__, scipy.__version__)
@@ -308,6 +357,31 @@ def test_every_case_without_a_csv_records_its_stdout_numbers():
     ]
 
 
+def test_regenerator_says_what_moved_in_a_changed_case():
+    manifest, _ = _builds()
+    old = manifest["cases"]["compare_quadratic_p1"]
+    new = copy.deepcopy(old)
+    new["exit"] = 1 - old["exit"]
+    new["stdout"] = "0" * 64
+    summary, gp = new["files"]["out/quadratic_p1_summary.csv"], new["files"][
+        "out/quadratic_p1_gradient_push.csv"
+    ]
+    summary["sha256"] = "0" * 64
+    gp["residual"] *= 1.5
+    new["numbers"] = {"sigma": [0.5, 0.25]}
+    old = {**old, "numbers": {"sigma": [0.5, 0.2]}}
+    lines = describe_change(old, new)
+    assert lines[0] == f"  exit: {old['exit']} -> {new['exit']}"
+    assert lines[1] == "  digests moved: stdout"
+    assert "  out/quadratic_p1_summary.csv: digest moved, rows 3 -> 3" in lines
+    [gp_line] = [line for line in lines if "gradient_push.csv" in line]
+    assert "digest same, rows 501 -> 501, k 500 -> 500, residual " in gp_line
+    assert gp_line.endswith("rel 0.5)")
+    assert lines[-1] == "  number sigma[1] of 2: 0.2 -> 0.25 (abs 0.05, rel 0.25); largest rel 0.25"
+    assert describe_change(None, new) == ["  case added"]
+    assert describe_change(old, old)[1] == "  digests moved: none"
+
+
 def test_fallback_catches_a_moved_divergence_step(tmp_path):
     manifest, _ = _builds()
     diverged = [name for name, case in manifest["cases"].items() if case["exit"] == 1
@@ -351,7 +425,11 @@ if __name__ == "__main__":
     changed = sorted(
         c for c in {*cases, *old} if _digests(cases.get(c)) != _digests(old.get(c))
     )
-    print("\n".join(f"changed: {c}" for c in changed) or "no case changed")
+    for c in changed:
+        print(f"changed: {c}")
+        print("\n".join(describe_change(old.get(c), cases.get(c))))
+    if not changed:
+        print("no case changed")
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     print(f"OPENBLAS_NUM_THREADS = {threads}")
     MANIFEST.write_text(
