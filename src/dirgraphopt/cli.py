@@ -13,10 +13,11 @@ Subcommands::
     dirgraphopt sparsity --config FILE    graph-density study
 
 Exit status is 0 only when every requested run completed without
-divergence; a diverged run exits 1, and so does a ``run`` whose final
-residual is above 1 (it ended farther from ``z*`` than it started, after
-writing its trace) and a run or study whose reference solve did not
-converge (before any output is written); config and usage errors exit 2.
+divergence; a diverged run exits 1, and so does a ``run`` or ``compare``
+lane whose final residual is above 1 (it ended farther from ``z*`` than it
+started, after writing its trace; ``compare`` marks the lane ``diverged``)
+and a run or study whose reference solve did not converge (before any
+output is written); config and usage errors exit 2.
 """
 
 from __future__ import annotations

@@ -380,7 +380,9 @@ def cmd_compare(cfg: ExperimentConfig) -> dict[str, TraceSummary]:
     The tracked engines use the configured constant step size.  Plain
     gradient-push always runs with the diminishing rule ``1/sqrt(k)``: with a
     constant step it stalls at a bias floor instead of converging, so the
-    diminishing rule is the only meaningful baseline in a comparison.
+    diminishing rule is the only meaningful baseline in a comparison.  A
+    lane is ``diverged`` when it left the overflow guard or, by ``run``'s
+    rule, ended with its final residual above 1.
     """
     if cfg.sweep is not None:
         raise ConfigError("compare needs a single step size, not a sweep")
@@ -393,6 +395,7 @@ def cmd_compare(cfg: ExperimentConfig) -> dict[str, TraceSummary]:
     summaries = {}
     for trace, diverged in _run_lanes(cfg, inst, lanes, cfg.stop_tol):
         algorithms.write_trace_csv(trace, _out_path(cfg, trace.algorithm))
+        diverged = diverged or trace.final_residual > 1.0
         summaries[trace.algorithm] = _summarize(trace, diverged)
     _write_csv(
         cfg, "summary",

@@ -436,6 +436,27 @@ dir = {tmp_path / "out"}
     assert code == 1 and "diverged=True" in out
 
 
+def test_compare_study_cli_exits_1_on_a_lane_that_ends_above_residual_one(capsys, tmp_path):
+    cfg = write_config(tmp_path, "cmp.ini", f"""
+[objective]
+kind = quadratic
+dim = 1
+seed = 2
+
+[run]
+algorithms = addopt, gp
+alpha = 0.2
+iters = 500
+
+[output]
+dir = {tmp_path / "out"}
+""")
+    code, out, _ = run_cli(capsys, "compare", "--config", cfg)
+    assert code == 1
+    assert "addopt: iters=500 " in out and out.count("diverged=False") == 1
+    assert "gradient_push: iters=500 final=6.134e+00 " in out and "diverged=True" in out
+
+
 def test_sweep_study_cli(capsys, tmp_path):
     cfg = write_config(tmp_path, "sweep.ini", f"""
 [objective]

@@ -295,6 +295,16 @@ def test_compare_writes_trace_per_algorithm(tmp_path):
     assert summaries["gradient_push"].final_residual > 1e-3
 
 
+def test_compare_flags_a_lane_that_ends_above_residual_one_as_diverged(tmp_path):
+    # gradient-push drifts from z* on this one-dimensional quadratic, too
+    # slowly to trip the overflow guard; run exits 1 on such a lane
+    cfg = make_config(tmp_path, algorithms=("gp",), dim=1, seed=2, alpha=0.2, iters=500)
+    summary = cmd_compare(cfg)["gradient_push"]
+    assert summary.final_residual > 1.0 and summary.diverged
+    assert summary.iterations == 500
+    assert read_csv(tmp_path / "study_summary.csv")[1][-1] == "1"
+
+
 def test_compare_baseline_always_uses_diminishing_steps(tmp_path):
     cfg = make_config(tmp_path, algorithms=("gp",), alpha=0.3, iters=5)
     assert cmd_compare(cfg)["gradient_push"].alpha_label == "1/sqrt(k)"
