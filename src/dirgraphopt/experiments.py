@@ -327,11 +327,16 @@ def prepare(graph: digraph.Digraph, objs) -> algorithms.Instance:
     objective per node of ``graph``, before any solve, and
     ``UnconvergedSolveError`` when the reference solve does not converge.
     """
-    weights = digraph.uniform_weights(graph)
+    return _instance(digraph.uniform_weights(graph), objs)
+
+
+def _instance(weights: digraph.WeightMatrix, objs) -> algorithms.Instance:
+    """:func:`prepare` on weights already built, so that every data seed of a
+    graph shares one weight matrix and its one ``pi`` solve."""
     problem = objectives.stack(objs)
-    if problem.n != graph.n:
+    if problem.n != weights.n:
         raise ValueError(
-            f"the objectives cover {problem.n} agents but the graph has {graph.n} nodes"
+            f"the objectives cover {problem.n} agents but the graph has {weights.n} nodes"
         )
     optimum = objectives.reference_optimum(problem)
     return algorithms.Instance(weights, problem, optimum)
@@ -479,8 +484,9 @@ def cmd_sparsity_study(cfg: ExperimentConfig) -> list[SparsityRow]:
     seeds = cfg.seeds or (cfg.seed,)
     rows: list[SparsityRow] = []
     for label, g in _sparsity_graphs(cfg):
+        weights = digraph.uniform_weights(g)
         for seed in seeds:
-            inst = prepare(g, build_objectives(cfg, g.n, seed))
+            inst = _instance(weights, build_objectives(cfg, g.n, seed))
             [(trace, diverged)] = _run_lanes(cfg, inst, [("addopt", cfg.alpha)], 0.0)
             if diverged:
                 k = trace.iterations + 1

@@ -456,6 +456,24 @@ def test_each_command_solves_pi_once_per_weight_matrix(tmp_path, monkeypatch, ca
 # ---------------------------------------------------------------------------
 
 
+def test_sparsity_study_builds_each_graphs_weights_once(tmp_path, monkeypatch):
+    # the weights depend on the graph only, so the five data seeds of each of
+    # the three chain graphs share one weight matrix and one pi solve
+    calls = {"uniform_weights": 0, "perron_limit": 0}
+    for name in calls:
+        original = getattr(digraph, name)
+
+        def counting(w, name=name, original=original):
+            calls[name] += 1
+            return original(w)
+
+        monkeypatch.setattr(digraph, name, counting)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    cfg = dataclasses.replace(load_config(configs / "sparsity_chain.ini"), out_dir=tmp_path)
+    assert len(cmd_sparsity_study(cfg)) == 15
+    assert calls == {"uniform_weights": 3, "perron_limit": 3}
+
+
 def test_sparsity_study_requires_constant_alpha(tmp_path):
     with pytest.raises(ConfigError, match="constant step size"):
         cmd_sparsity_study(make_config(tmp_path, alpha=("sweep", 0.1, 0.5, 3)))
