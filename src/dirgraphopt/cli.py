@@ -17,7 +17,9 @@ divergence; a diverged run exits 1, and so does a ``run`` or ``compare``
 lane whose final residual is above 1 (it ended farther from ``z*`` than it
 started, after writing its trace; ``compare`` marks the lane ``diverged``)
 and a run or study whose reference solve did not converge (before any
-output is written); config and usage errors exit 2.
+output is written; ``data solve`` prints its result lines first); each
+exit 1 but a diverged ``compare`` lane and a failed ``graph check`` has an
+``error:`` line on stderr.  Config and usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ def _cmd_data(args) -> int:
     print(f"f_star = {opt.f_star!r}")
     print(f"residual_norm = {opt.residual_norm!r}")
     print(f"converged = {opt.converged}")
-    return 0 if opt.converged else 1
+    if not opt.converged:
+        raise objectives.UnconvergedSolveError(opt)
+    return 0
 
 
 def _cmd_run(args) -> int:

@@ -552,6 +552,12 @@ def centralized_solve(objectives) -> Optimum:
 class UnconvergedSolveError(RuntimeError):
     """The centralized solve ran out of iterations before its tolerance."""
 
+    def __init__(self, opt: Optimum):
+        super().__init__(
+            f"reference solve did not converge: gradient norm "
+            f"{opt.residual_norm:.3e} after {opt.iterations} iterations"
+        )
+
 
 def reference_optimum(objectives) -> Optimum:
     """The :func:`centralized_solve` optimum that residuals are measured
@@ -559,8 +565,5 @@ def reference_optimum(objectives) -> Optimum:
     converge, since every residual would be measured against the wrong point."""
     opt = centralized_solve(objectives)
     if not opt.converged:
-        raise UnconvergedSolveError(
-            f"reference solve did not converge: gradient norm "
-            f"{opt.residual_norm:.3e} after {opt.iterations} iterations"
-        )
+        raise UnconvergedSolveError(opt)
     return opt
