@@ -16,10 +16,9 @@ Exit status is 0 only when every requested run completed without
 divergence; a diverged run exits 1, and so does a ``run`` or ``compare``
 lane whose final residual is above 1 (it ended farther from ``z*`` than it
 started, after writing its trace; ``compare`` marks the lane ``diverged``)
-and a run or study whose reference solve did not converge (before any
-output is written; ``data solve`` prints its result lines first); each
-exit 1 but a diverged ``compare`` lane and a failed ``graph check`` has an
-``error:`` line on stderr.  Config and usage errors exit 2.
+and a command whose reference solve did not converge (with an ``error:``
+line, before any output but ``data solve``'s result lines); config and
+usage errors exit 2.
 """
 
 from __future__ import annotations

@@ -255,11 +255,9 @@ def spectral_data(w: WeightMatrix, slack: float | None = None) -> SpectralData:
     graph, 1e-12 on fig1) raises ``ValueError``, as does a slack that is not
     positive.
 
-    Besides ``w.entries`` and LAPACK's own workspace, at most four n x n
-    arrays are alive at once: ``M`` is rebuilt for the ``sigma`` check
-    rather than kept through the doubling.  Four is the floor while both
-    ``S`` and ``S^-1`` are returned, since that check holds them, the
-    product ``S^-1 M S`` and the SVD's copy of it.
+    Besides ``w.entries`` and LAPACK's workspace, at most four n x n arrays
+    are alive at once, the floor while ``S`` and ``S^-1`` are returned: the
+    ``sigma`` check holds both, ``S^-1 M S`` and the SVD's copy of it.
     """
     if slack is not None and slack <= 0:
         raise ValueError(f"slack must be positive, got {slack}")

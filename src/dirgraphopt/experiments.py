@@ -331,8 +331,7 @@ def prepare(graph: digraph.Digraph, objs) -> algorithms.Instance:
 
 
 def _instance(weights: digraph.WeightMatrix, objs) -> algorithms.Instance:
-    """:func:`prepare` on weights already built, so that every data seed of a
-    graph shares one weight matrix and its one ``pi`` solve."""
+    """:func:`prepare` on built weights, which share one ``pi`` solve."""
     problem = objectives.stack(objs)
     if problem.n != weights.n:
         raise ValueError(

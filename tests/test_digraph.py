@@ -480,8 +480,8 @@ def test_spectral_data_certifies_a_1000_node_digraph():
 
 
 def test_spectral_data_keeps_at_most_four_square_arrays_alive():
-    # the working set was eight n x n arrays; SVD and eigh workspace is
-    # LAPACK's own and not traced
+    # tracemalloc sees numpy's arrays only: SVD and eigh workspace is
+    # LAPACK's own
     n = 200
     w = uniform_weights(random_digraph(n, 4 * n, 1))
     tracemalloc.start()
